@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ParseFailure, TrainingError
+from repro.errors import TrainingError
 from repro.extraction.schema import CategoricalAttribute
 from repro.linkgrammar.constituents import Role, assign_roles, head_words
 from repro.linkgrammar.parser import LinkGrammarParser
 from repro.ml.dataset import Dataset
 from repro.ml.id3 import ID3Classifier
 from repro.morphology.lemmatizer import Lemmatizer
-from repro.nlp.pipeline import Pipeline, default_pipeline
+from repro.nlp.pipeline import Pipeline
 from repro.records.model import PatientRecord
 from repro.runtime import tracing
 from repro.runtime.cache import DocumentCache, LinkageCache
@@ -99,22 +99,15 @@ class SentenceFeatureExtractor:
         linkage_cache: LinkageCache | None = None,
     ) -> None:
         self.options = options or FeatureOptions()
-        self.document_cache = document_cache
-        if pipeline is None and document_cache is not None:
-            pipeline = document_cache.pipeline
-        self.pipeline = pipeline or default_pipeline()
+        self.document_cache = document_cache or DocumentCache(pipeline)
         self.parser = parser or LinkGrammarParser(max_linkages=1)
         self.lemmatizer = lemmatizer or Lemmatizer()
-        self.linkage_cache = linkage_cache
+        self.linkage_cache = linkage_cache or LinkageCache()
 
     def extract(self, text: str) -> frozenset[str]:
         """Feature set of *text* (all sentences pooled)."""
         opts = self.options
-        document = (
-            self.document_cache.get(text)
-            if self.document_cache is not None
-            else self.pipeline.process_text(text)
-        )
+        document = self.document_cache.get(text)
         features: set[str] = set()
         for sentence in document.sentences():
             tokens = document.tokens(sentence)
@@ -172,15 +165,9 @@ class SentenceFeatureExtractor:
             return all_indices
         words = [document.span_text(t).lower() for t in tokens]
         tags = [t.features.get("pos", "NN") for t in tokens]
-        if self.linkage_cache is not None:
-            linkage = self.linkage_cache.lookup(self.parser, words, tags)
-            if linkage is None:
-                return all_indices
-        else:
-            try:
-                linkage = self.parser.parse_one(words, tags)
-            except ParseFailure:
-                return all_indices
+        linkage = self.linkage_cache.lookup(self.parser, words, tags)
+        if linkage is None:
+            return all_indices
         pos_to_token = {
             pos: tok_idx
             for pos, tok_idx in enumerate(linkage.token_map)
@@ -209,6 +196,7 @@ class CategoricalClassifier:
         max_depth: int | None = None,
         document_cache: DocumentCache | None = None,
         linkage_cache: LinkageCache | None = None,
+        parser: LinkGrammarParser | None = None,
     ) -> None:
         self.attribute = attribute
         if options is None:
@@ -217,6 +205,7 @@ class CategoricalClassifier:
             )
         self.extractor = extractor or SentenceFeatureExtractor(
             options,
+            parser=parser,
             document_cache=document_cache,
             linkage_cache=linkage_cache,
         )
@@ -317,29 +306,3 @@ class CategoricalClassifier:
             "attribute": self.attribute.name,
             "tree": tree_to_dict(self._id3),
         }
-
-    def save(self, path) -> None:
-        """Write the trained model (tree + attribute name) to JSON."""
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))
-
-    @classmethod
-    def load(cls, path) -> "CategoricalClassifier":
-        """Rebuild a saved classifier (schema supplies the options)."""
-        import json
-        from pathlib import Path
-
-        from repro.extraction.schema import attribute as lookup
-        from repro.ml.serialize import tree_from_dict
-
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise TrainingError(
-                f"cannot load classifier from {path}: {exc}"
-            ) from exc
-        classifier = cls(lookup(data["attribute"]))
-        classifier._id3 = tree_from_dict(data["tree"])
-        return classifier

@@ -9,7 +9,9 @@ trained ID3 classifiers.  Results go to
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 from repro import profiling
@@ -21,6 +23,9 @@ from repro.extraction.schema import (
     CategoricalAttribute,
 )
 from repro.extraction.terms import TermExtractor
+from repro.linkgrammar.parser import LinkGrammarParser
+from repro.ml.id3 import ID3Classifier
+from repro.ml.serialize import tree_from_dict
 from repro.records.model import PatientRecord
 from repro.runtime import tracing
 from repro.runtime.cache import ExtractionCaches
@@ -146,6 +151,13 @@ def _numeric_value_str(value: float | tuple[float, float]) -> str:
     return f"{value:g}"
 
 
+def _categorical_attribute(name: Any) -> CategoricalAttribute:
+    for attr in CATEGORICAL_ATTRIBUTES:
+        if attr.name == name:
+            return attr
+    raise TrainingError(f"{name!r} is not a categorical attribute")
+
+
 class RecordExtractor:
     """Full-record extraction with optional categorical models.
 
@@ -154,22 +166,21 @@ class RecordExtractor:
     attribute reading that section) and a cross-record linkage cache
     (one parse serves every sentence with the same token signature in
     the whole cohort).  Explicitly-passed sub-extractors keep whatever
-    caches they were built with.
+    caches they were built with.  *models* maps attribute names to
+    serialized ID3 trees (see :meth:`attach_model`).
     """
 
     def __init__(
         self,
         numeric: NumericExtractor | None = None,
         terms: TermExtractor | None = None,
-        categorical: dict[str, CategoricalClassifier] | None = None,
         caches: ExtractionCaches | None = None,
         parse_budget: float | None = None,
+        models: dict[str, dict] | None = None,
     ) -> None:
         self.caches = caches or ExtractionCaches()
         self.parse_budget = parse_budget
         if numeric is None:
-            from repro.linkgrammar.parser import LinkGrammarParser
-
             numeric = NumericExtractor(
                 parser=LinkGrammarParser(time_budget=parse_budget),
                 document_cache=self.caches.documents,
@@ -179,7 +190,16 @@ class RecordExtractor:
         self.terms = terms or TermExtractor(
             document_cache=self.caches.documents
         )
-        self.categorical = dict(categorical or {})
+        self.categorical: dict[str, CategoricalClassifier] = {}
+        # Over the engine's (possibly compiled) dictionary, so no
+        # classifier rebuilds the grammar from source.
+        self._feature_parser = LinkGrammarParser(
+            dictionary=self.numeric.parser.dictionary, max_linkages=1
+        )
+        for name, tree in (models or {}).items():
+            self.attach_model(
+                _categorical_attribute(name), tree_from_dict(tree)
+            )
 
     @classmethod
     def from_artifact(
@@ -234,37 +254,64 @@ class RecordExtractor:
                 raise TrainingError(
                     f"no training data for {attr.name!r}"
                 )
-            classifier = CategoricalClassifier(
-                attr,
-                document_cache=self.caches.documents,
-                linkage_cache=self.caches.linkages,
-            )
-            classifier.fit(texts, labels)
-            self.categorical[attr.name] = classifier
+            self.attach_model(attr).fit(texts, labels)
+
+    def attach_model(
+        self,
+        attribute: CategoricalAttribute,
+        model: ID3Classifier | None = None,
+    ) -> CategoricalClassifier:
+        """Install and return the ID3 classifier for *attribute*.
+
+        It reads sections through the engine's caches, so a record's
+        sections are scanned once for all three extractors.  Without
+        a trained *model* the caller fits the classifier.
+        """
+        classifier = CategoricalClassifier(
+            attribute,
+            document_cache=self.caches.documents,
+            linkage_cache=self.caches.linkages,
+            parser=self._feature_parser,
+        )
+        classifier._id3 = model
+        self.categorical[attribute.name] = classifier
+        return classifier
 
     def save_models(self, directory) -> list:
         """Write every trained categorical model to *directory*."""
-        from pathlib import Path
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         paths = []
         for name, classifier in sorted(self.categorical.items()):
             path = directory / f"{name}.json"
-            classifier.save(path)
+            path.write_text(json.dumps(classifier.to_dict(), indent=1))
             paths.append(path)
         return paths
 
     def load_models(self, directory) -> int:
-        """Load all ``*.json`` models from *directory*; returns count."""
-        from pathlib import Path
+        """Load all ``*.json`` models from *directory*; returns count.
 
-        count = 0
+        Models attach in schema order, as training attaches them, so
+        results equal a trained engine's.  A malformed or unreadable
+        file raises :class:`TrainingError` naming it.
+        """
+        loaded = []
         for path in sorted(Path(directory).glob("*.json")):
-            classifier = CategoricalClassifier.load(path)
-            self.categorical[classifier.attribute.name] = classifier
-            count += 1
-        return count
+            try:
+                data = json.loads(path.read_text())
+                attr = _categorical_attribute(data["attribute"])
+                loaded.append((attr, tree_from_dict(data["tree"])))
+            except (
+                OSError, ValueError, KeyError, TypeError, TrainingError
+            ) as exc:
+                raise TrainingError(
+                    f"cannot load classifier from {path}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+        loaded.sort(key=lambda entry: CATEGORICAL_ATTRIBUTES.index(entry[0]))
+        for attr, model in loaded:
+            self.attach_model(attr, model)
+        return len(loaded)
 
     def extract(self, record: PatientRecord) -> ExtractionResult:
         """Extract every attribute the extractor knows how to handle.

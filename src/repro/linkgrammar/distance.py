@@ -52,11 +52,8 @@ def _dijkstra(
     """Single-source shortest paths over the linkage's word graph.
 
     A direct heap implementation over the link list — the association
-    hot path calls this for every mention of every sentence, and the
-    general graph-library detour (build an ``nx.Graph``, run its
-    Dijkstra) dominated the profile.  Every edge weight is an exact
-    binary float (the association table uses 0.5/1/2), so the computed
-    distances are bit-identical to the library's.
+    hot path calls this for every mention of every sentence, so it
+    builds no general graph object.
     """
     weights = weights or LinkWeights()
     n = len(linkage.words)

@@ -1,4 +1,4 @@
-"""Linkage data model and the linkage→graph conversion of §3.1.
+"""Linkage data model for the word graph of §3.1.
 
 The paper: "Suppose a node represents a word, and an edge represents a
 link.  Then the linkage diagram of a valid sentence can be looked at as
@@ -10,8 +10,6 @@ between any word pair can be calculated from the graph."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 LEFT_WALL = "###LEFT-WALL###"
 
@@ -57,9 +55,6 @@ class Linkage:
         if not self.token_map:
             self.token_map = [None] + list(range(len(self.words) - 1))
 
-    def link_types(self) -> set[str]:
-        return {link.label for link in self.links}
-
     def links_of(self, word_index: int) -> list[Link]:
         """Links incident to *word_index*."""
         return [
@@ -83,30 +78,15 @@ class Linkage:
 
     def is_connected(self) -> bool:
         """Every word is reachable from every other through links."""
-        if len(self.words) <= 1:
-            return True
-        return nx.is_connected(self.graph(include_wall=True))
-
-    def graph(
-        self,
-        weights: "LinkWeights | None" = None,
-        include_wall: bool = False,
-    ) -> nx.Graph:
-        """The weighted word graph of the paper's association method."""
-        weights = weights or LinkWeights()
-        graph = nx.Graph()
-        start = 0 if include_wall else 1
-        graph.add_nodes_from(range(start, len(self.words)))
-        for link in self.links:
-            if not include_wall and link.left == 0:
-                continue
-            graph.add_edge(
-                link.left,
-                link.right,
-                weight=weights.weight(link.label),
-                label=link.label,
-            )
-        return graph
+        reached, frontier = {0}, [0]
+        while frontier:
+            word = frontier.pop()
+            for link in self.links_of(word):
+                other = self.neighbor(link, word)
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        return reached >= set(range(len(self.words)))
 
     def diagram(self) -> str:
         """Flat link listing (one ``label: a <-> b`` line per link)."""

@@ -42,6 +42,8 @@ def tree_to_dict(classifier: ID3Classifier) -> dict[str, Any]:
 
 def tree_from_dict(data: dict[str, Any]) -> ID3Classifier:
     """Inverse of :func:`tree_to_dict`."""
+    if not isinstance(data, dict) or "root" not in data:
+        raise TrainingError("malformed tree: expected an object with a root")
     version = data.get("format")
     if version != FORMAT_VERSION:
         raise TrainingError(

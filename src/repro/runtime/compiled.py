@@ -300,13 +300,10 @@ class CompiledArtifact:
         but without expression expansion or SQLite loading.  *models*
         (serialized ID3 trees) defaults to the artifact's own.
         """
-        from repro.extraction.categorical import CategoricalClassifier
         from repro.extraction.numeric import NumericExtractor
         from repro.extraction.pipeline import RecordExtractor
-        from repro.extraction.schema import attribute as lookup
         from repro.extraction.terms import TermExtractor
         from repro.linkgrammar.parser import LinkGrammarParser
-        from repro.ml.serialize import tree_from_dict
         from repro.runtime.cache import ExtractionCaches
 
         caches = ExtractionCaches(
@@ -328,23 +325,13 @@ class CompiledArtifact:
             document_cache=caches.documents,
             automaton=self.require_section("term_automaton"),
         )
-        extractor = RecordExtractor(
+        return RecordExtractor(
             numeric=numeric,
             terms=terms,
             caches=caches,
             parse_budget=parse_budget,
+            models=models if models is not None else self.models,
         )
-        for name, tree in (
-            models if models is not None else self.models or {}
-        ).items():
-            classifier = CategoricalClassifier(
-                lookup(name),
-                document_cache=caches.documents,
-                linkage_cache=caches.linkages,
-            )
-            classifier._id3 = tree_from_dict(tree)
-            extractor.categorical[name] = classifier
-        return extractor
 
     def stats(self) -> dict[str, Any]:
         """Human-facing summary for the compile CLI."""

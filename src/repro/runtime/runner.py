@@ -121,22 +121,13 @@ def _init_worker(
             models=models or {},
         )
     else:
-        from repro.extraction.categorical import CategoricalClassifier
         from repro.extraction.pipeline import RecordExtractor
-        from repro.extraction.schema import attribute as lookup
-        from repro.ml.serialize import tree_from_dict
 
-        extractor = RecordExtractor(parse_budget=parse_budget)
+        extractor = RecordExtractor(
+            parse_budget=parse_budget, models=models
+        )
         if document_cache_size is not None:
             extractor.caches.documents.resize(document_cache_size)
-        for name, tree in (models or {}).items():
-            classifier = CategoricalClassifier(
-                lookup(name),
-                document_cache=extractor.caches.documents,
-                linkage_cache=extractor.caches.linkages,
-            )
-            classifier._id3 = tree_from_dict(tree)
-            extractor.categorical[name] = classifier
     _attach_parse_cache(extractor, parse_cache_path)
     _WORKER_EXTRACTOR = extractor
     _WORKER_INIT_SECONDS = time.perf_counter() - started
@@ -341,14 +332,6 @@ class CorpusRunner:
                     results = self._run_parallel(records)
         self.metrics.count("records", len(records))
         return results
-
-    def _scheduling_unit(self, n_records: int) -> int:
-        """Records one worker processes contiguously (chunk or all)."""
-        if self.workers == 1 or n_records <= 1:
-            return n_records
-        return self.chunk_size or max(
-            1, math.ceil(n_records / (self.workers * 4))
-        )
 
     def _target_document_cache_size(self, n_records: int) -> int:
         """Capacity that covers one worker's share of the corpus.

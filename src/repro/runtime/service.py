@@ -98,7 +98,13 @@ ERROR_KINDS = (
     "quarantined",
     "shard-failed",
     "shutting-down",
+    "too-large",
 )
+
+#: Longest request line the service reads, newline excluded.  A longer
+#: line is answered with a ``too-large`` error and skipped through its
+#: newline; the connection keeps serving the lines after it.
+MAX_LINE_BYTES = 64 * 1024
 
 #: Queue sentinel that tells a dispatcher the drain has begun.
 _DRAIN = object()
@@ -428,7 +434,9 @@ class ExtractionService:
             if path.exists():
                 path.unlink()
             server = await asyncio.start_unix_server(
-                self._handle_connection, path=str(path)
+                self._handle_connection,
+                path=str(path),
+                limit=MAX_LINE_BYTES,
             )
             self.address = str(path)
         else:
@@ -436,6 +444,7 @@ class ExtractionService:
                 self._handle_connection,
                 host=self.config.host,
                 port=self.config.port,
+                limit=MAX_LINE_BYTES,
             )
             self.address = server.sockets[0].getsockname()
         return server
@@ -611,7 +620,18 @@ class ExtractionService:
 
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as eof:
+                    raw = eof.partial  # a last line without newline
+                except asyncio.LimitOverrunError:
+                    await respond(_error(
+                        None, "too-large",
+                        f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    ))
+                    self.metrics.count("rejected_too_large")
+                    await _discard_line(reader)
+                    continue
                 if not raw:
                     break
                 line = raw.decode("utf-8", errors="replace").strip()
@@ -970,6 +990,7 @@ class ExtractionService:
             "rejected_draining": counters.get(
                 "rejected_draining", 0
             ),
+            "rejected_too_large": counters.get("rejected_too_large", 0),
             "deadline_expired": counters.get("deadline_expired", 0),
             "quarantined": counters.get("quarantined", 0),
             "shard_failed": counters.get("shard_failed", 0),
@@ -1001,6 +1022,18 @@ class ExtractionService:
         return out
 
 
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Consume the rest of an over-long line, through its newline."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as overrun:
+            await reader.readexactly(overrun.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
 def _error(
     request_id: Any, kind: str, message: str
 ) -> dict[str, Any]:
@@ -1014,6 +1047,7 @@ def _error(
 
 __all__ = [
     "ERROR_KINDS",
+    "MAX_LINE_BYTES",
     "OPS",
     "ExtractionService",
     "ServiceConfig",

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ParseFailure
 from repro.linkgrammar import (
     Dictionary,
+    Link,
     LinkGrammarParser,
     Linkage,
 )
@@ -160,6 +161,35 @@ class TestLinkageInvariants:
         # wall maps to None, remaining words map to original indices.
         assert linkage.token_map[0] is None
         assert linkage.token_map[1:] == [0, 1, 2, 3]
+
+
+class TestConnectivity:
+    """``is_connected`` on hand-built linkages (wall at position 0)."""
+
+    WORDS = ["###LEFT-WALL###", "she", "quit", "smoking"]
+
+    def test_chain_through_the_wall(self):
+        links = [Link(0, 2, "W"), Link(1, 2, "S"), Link(2, 3, "O")]
+        assert Linkage(self.WORDS, links).is_connected()
+
+    def test_links_listed_out_of_order(self):
+        links = [Link(2, 3, "O"), Link(0, 1, "W"), Link(1, 3, "X")]
+        assert Linkage(self.WORDS, links).is_connected()
+
+    def test_island_is_disconnected(self):
+        links = [Link(0, 1, "W"), Link(2, 3, "O")]
+        assert not Linkage(self.WORDS, links).is_connected()
+
+    def test_unlinked_last_word_is_disconnected(self):
+        links = [Link(0, 2, "W"), Link(1, 2, "S")]
+        assert not Linkage(self.WORDS, links).is_connected()
+
+    def test_wall_only_and_one_word(self):
+        assert Linkage(["###LEFT-WALL###"], []).is_connected()
+        assert not Linkage(["###LEFT-WALL###", "pulse"], []).is_connected()
+        assert Linkage(
+            ["###LEFT-WALL###", "pulse"], [Link(0, 1, "W")]
+        ).is_connected()
 
 
 class TestCustomDictionary:

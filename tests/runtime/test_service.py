@@ -25,6 +25,7 @@ from repro.records.model import PatientRecord, Section
 from repro.runtime import FaultPlan, RetryPolicy
 from repro.runtime.service import (
     ERROR_KINDS,
+    MAX_LINE_BYTES,
     ExtractionService,
     ServiceConfig,
     record_from_dict,
@@ -444,6 +445,7 @@ class TestInjectedFaults:
 class TestProtocolErrors:
     def _raw(self, path):
         raw = socket.socket(socket.AF_UNIX)
+        raw.settimeout(10)
         raw.connect(path)
         return raw
 
@@ -483,6 +485,48 @@ class TestProtocolErrors:
         finally:
             raw.close()
 
+    @pytest.mark.parametrize(
+        "size", [MAX_LINE_BYTES + 1, 70_000, 3 * MAX_LINE_BYTES]
+    )
+    def test_over_long_line_gets_a_typed_answer(self, serve, size):
+        """The line around an over-long one is still served.
+
+        Before the limit was handled, ``readline`` raised out of the
+        connection handler: only the first request was answered and
+        the connection dropped the third.
+        """
+        service, path = serve()
+        raw = self._raw(path)
+        try:
+            health = b'{"op": "health", "id": "h%d"}\n'
+            raw.sendall(
+                health % 1 + self._padded(b"h2", size) + health % 3
+            )
+            lines = raw.makefile("r")
+            responses = [json.loads(lines.readline()) for _ in range(3)]
+        finally:
+            raw.close()
+        assert [r["id"] for r in responses] == ["h1", None, "h3"]
+        assert responses[0]["ok"] and responses[2]["ok"]
+        assert responses[1]["error"]["kind"] == "too-large"
+        assert service.stats()["rejected_too_large"] == 1
+
+    def test_line_at_the_limit_is_read(self, serve):
+        _, path = serve()
+        raw = self._raw(path)
+        try:
+            raw.sendall(self._padded(b"edge", MAX_LINE_BYTES))
+            response = json.loads(raw.makefile("r").readline())
+        finally:
+            raw.close()
+        assert response["id"] == "edge" and response["ok"]
+
+    @staticmethod
+    def _padded(request_id, size):
+        """A health request of exactly *size* bytes plus its newline."""
+        head = b'{"op": "health", "id": "%s", "pad": "' % request_id
+        return head + b"x" * (size - len(head) - 2) + b'"}\n'
+
     def test_every_error_kind_is_declared(self):
         assert set(ERROR_KINDS) == {
             "bad-request",
@@ -491,6 +535,7 @@ class TestProtocolErrors:
             "quarantined",
             "shard-failed",
             "shutting-down",
+            "too-large",
         }
 
 

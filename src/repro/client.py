@@ -27,7 +27,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ServiceError
-from repro.runtime.service import record_to_dict
+from repro.runtime.service import MAX_LINE_BYTES, record_to_dict
 
 if TYPE_CHECKING:
     from repro.records.model import PatientRecord
@@ -47,6 +47,11 @@ class QuarantinedRecord(ServiceError):
 
 class DeadlineExceeded(ServiceError):
     """The request's deadline expired before extraction ran."""
+
+
+class RecordTooLarge(ServiceError):
+    """The record's request line exceeds what the service reads
+    (``MAX_LINE_BYTES``), so the client refused to send it."""
 
 
 class ServiceClient:
@@ -97,8 +102,19 @@ class ServiceClient:
         self.close()
 
     def _send(self, payload: dict[str, Any]) -> None:
+        """Write one request line; a line the service would refuse as
+        ``too-large`` raises :class:`RecordTooLarge` and writes nothing.
+        """
+        line = json.dumps(payload)
+        size = len(line.encode("utf-8"))
+        if size > MAX_LINE_BYTES:
+            record_id = (payload.get("record") or {}).get("patient_id")
+            raise RecordTooLarge(
+                f"record {record_id!r} encodes to a {size}-byte request "
+                f"line; the service reads at most {MAX_LINE_BYTES}"
+            )
         try:
-            self._writer.write(json.dumps(payload) + "\n")
+            self._writer.write(line + "\n")
             self._writer.flush()
         except OSError as exc:
             raise ServiceError(
@@ -169,7 +185,9 @@ class ServiceClient:
         immediately so the record reroutes to a live shard.  Raises
         :class:`QuarantinedRecord` when the service isolated the
         record, :class:`DeadlineExceeded` on a queued-too-long
-        deadline, :class:`ServiceError` for everything else.
+        deadline, :class:`RecordTooLarge` (sending nothing) when the
+        request line would exceed ``MAX_LINE_BYTES``,
+        :class:`ServiceError` for everything else.
         """
         payload: dict[str, Any] = {
             "op": "extract",
@@ -221,7 +239,9 @@ class ServiceClient:
         While other requests are in flight the client blocks reading
         their responses instead of sleeping; it only sleeps when the
         window is empty, and never beyond ``max_backoff_s`` total
-        for the call.
+        for the call.  A record too large to send raises
+        :class:`RecordTooLarge` once the answers already in flight are
+        read, so the connection stays usable.
         """
         records = list(records)
         slots: list[Any] = [None] * len(records)
@@ -250,7 +270,14 @@ class ServiceClient:
                 }
                 if deadline_s is not None:
                     payload["deadline_s"] = deadline_s
-                self._send(payload)
+                try:
+                    self._send(payload)
+                except RecordTooLarge:
+                    # Read the answers still owed, so the connection
+                    # can serve the caller's next request.
+                    for _ in in_flight:
+                        self._read()
+                    raise
                 in_flight[request_id] = index
             if not in_flight:
                 # Nothing to read: wait out the back-off gate —

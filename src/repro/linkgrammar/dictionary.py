@@ -43,6 +43,10 @@ BitsetTables = tuple[
     dict[str, int],
 ]
 
+#: (mask by disjunct id, match row by label bit, right-pointing
+#: bits) — see :meth:`Dictionary.disjunct_masks`.
+DisjunctMasks = tuple[dict[int, int], list[int], int]
+
 
 def _substitute_macros(expression: str) -> str:
     """Textually expand ``<name>`` macros (macros may nest one level)."""
@@ -71,17 +75,20 @@ class Dictionary:
         self._expression_cache: dict[str, list[Disjunct]] = {}
         for words, expression in entries if entries is not None else ENTRIES:
             disjuncts = self._expand(expression)
-            for word in words.split():
-                # A word listed under several entries (e.g. "smoked" as
-                # finite verb and as past participle) gets the union of
-                # their disjuncts.
-                existing = self._words.setdefault(word.lower(), [])
-                seen = {
-                    (d.left, d.right) for d in existing
-                }
-                existing.extend(
+            for word in words.lower().split():
+                # A word with one entry shares its expression's list (no
+                # list is ever mutated).  A word listed under several
+                # entries (e.g. "smoked" as finite verb and as past
+                # participle) gets a new list: the union of their
+                # disjuncts.
+                existing = self._words.get(word)
+                if existing is None:
+                    self._words[word] = disjuncts
+                    continue
+                seen = {(d.left, d.right) for d in existing}
+                self._words[word] = existing + [
                     d for d in disjuncts if (d.left, d.right) not in seen
-                )
+                ]
         for tag, expression in (
             tag_defaults if tag_defaults is not None else TAG_DEFAULTS
         ):
@@ -89,6 +96,7 @@ class Dictionary:
         self._number_disjuncts = self._expand(NUMBER_EXPR)
         self._match_tables: MatchTables | None = None
         self._bitset_tables: BitsetTables | None = None
+        self._disjunct_masks: DisjunctMasks | None = None
         self._signature: str | None = None
 
     @classmethod
@@ -108,8 +116,14 @@ class Dictionary:
         self._expression_cache = {}
         self._match_tables = grammar.match_tables
         self._bitset_tables = None
+        self._disjunct_masks = None
         self._signature = grammar.signature
         return self
+
+    def __getstate__(self) -> dict:
+        # Disjunct masks are keyed by object id, which a copy or an
+        # unpickled dictionary does not share; they are rederived.
+        return {**self.__dict__, "_disjunct_masks": None}
 
     def _expand(self, expression: str) -> list[Disjunct]:
         cached = self._expression_cache.get(expression)
@@ -130,7 +144,16 @@ class Dictionary:
         # table has never seen; recompute lazily on the next parse.
         self._match_tables = None
         self._bitset_tables = None
+        self._disjunct_masks = None
         self._signature = None
+
+    def _disjunct_lists(self) -> list[list[Disjunct]]:
+        """Every list :meth:`disjuncts` can return."""
+        return (
+            list(self._words.values())
+            + [ds for _, ds in self._tag_defaults]
+            + [self._number_disjuncts]
+        )
 
     def match_tables(self) -> MatchTables:
         """Dictionary-wide connector match table plus matcher sets.
@@ -151,11 +174,7 @@ class Dictionary:
         """
         cached = self._match_tables
         if cached is None:
-            cached = _build_match_tables(
-                list(self._words.values())
-                + [ds for _, ds in self._tag_defaults]
-                + [self._number_disjuncts]
-            )
+            cached = _build_match_tables(self._disjunct_lists())
             self._match_tables = cached
         return cached
 
@@ -177,6 +196,53 @@ class Dictionary:
         if cached is None:
             cached = bitsets_from_table(self.match_tables()[0])
             self._bitset_tables = cached
+        return cached
+
+    def disjunct_masks(self) -> DisjunctMasks:
+        """Per-disjunct label masks for the parser's pruning pass.
+
+        Every label gets one bit: left-pointing labels take the low
+        bits in :meth:`bitset_tables` id order, right-pointing labels
+        the bits above them (``plus_bits`` covers those).  Returns
+        ``(masks, rows, plus_bits)``: ``masks[id(d)]`` has the bit of
+        every connector of disjunct ``d``, and ``rows[b]`` has the
+        bits of the opposite-direction labels that label bit ``b`` can
+        link to.  A label the tables lack gets a bit whose row is
+        empty, so it can never be linked.
+
+        One entry per distinct :class:`Disjunct` object, however many
+        words share it.  Derived lazily from :meth:`bitset_tables`,
+        invalidated by :meth:`add`, never pickled (ids do not survive
+        a copy).
+        """
+        cached = self._disjunct_masks
+        if cached is not None:
+            return cached
+        plus_rows, minus_rows, plus_ids, minus_ids = self.bitset_tables()
+        # Bits 0..M-1: minus labels, M: unknown minus; M+1..M+P: plus
+        # labels, M+P+1: unknown plus.
+        no_minus, no_plus = len(minus_ids), len(plus_ids)
+        shift = no_minus + 1
+        rows = [0] * (shift + no_plus + 1)
+        for label, i in minus_ids.items():
+            rows[i] = minus_rows[label] << shift
+        for label, i in plus_ids.items():
+            rows[shift + i] = plus_rows[label]
+        masks: dict[int, int] = {}
+        unique = {id(ds): ds for ds in self._disjunct_lists()}
+        for disjuncts in unique.values():
+            for d in disjuncts:
+                if id(d) in masks:
+                    continue
+                mask = 0
+                for c in d.left:
+                    mask |= 1 << minus_ids.get(c.label, no_minus)
+                for c in d.right:
+                    mask |= 1 << (shift + plus_ids.get(c.label, no_plus))
+                masks[id(d)] = mask
+        plus_bits = ((1 << (no_plus + 1)) - 1) << shift
+        cached = (masks, rows, plus_bits)
+        self._disjunct_masks = cached
         return cached
 
     def disjuncts(

@@ -11,16 +11,28 @@ words such that
 3. *connectivity* — the words and links form a connected graph;
 4. *exclusion* — no two links join the same pair of words.
 
-The algorithm is the memoized region recurrence of the original paper:
-``count(L, R, le, re)`` counts linkages of the words strictly between
-positions ``L`` and ``R`` given the unsatisfied right-pointing
-connectors ``le`` of word ``L`` and left-pointing connectors ``re`` of
-word ``R`` (both farthest-first).  A region is solved by choosing an
-interior word ``W`` and linking it to ``L``, to ``R``, or to both —
-this is what guarantees connectivity.  ``@``-multi-connectors may
-accept further links and therefore optionally stay at the head of
-their list.  Linkages are re-extracted by running the same recurrence
-generatively with the memo table used to prune dead branches.
+The algorithm is the memoized region recurrence of the original paper,
+asked only whether a linkage exists: ``exists(L, R, le, re)`` decides
+whether the words strictly between positions ``L`` and ``R`` can be
+linked given the unsatisfied right-pointing connectors ``le`` of word
+``L`` and left-pointing connectors ``re`` of word ``R`` (both
+farthest-first).  A region is solved by choosing an interior word
+``W`` and linking it to ``L``, to ``R``, or to both — this is what
+guarantees connectivity — and the search stops at the first choice
+that works.  ``@``-multi-connectors may accept further links and
+therefore optionally stay at the head of their list.  Linkages are
+re-extracted by running the same recurrence generatively, with the
+memo table pruning dead branches.
+
+Before the recurrence, power pruning drops every disjunct with a
+connector nothing on the correct side can link to, tested with
+per-disjunct label bitmasks (:meth:`Dictionary.disjunct_masks`).
+During it, the candidates for a region are the disjuncts at ``W``
+whose first opposite connector matches the region's forced head; that
+list depends only on ``W`` and the head's label, so each is built once
+per sentence.  Extraction re-enters a region once per linkage of the
+regions around it, so each region's live choices are memoized as
+extraction reads them.
 
 Fragments like ``blood pressure: 144/90`` have no linkage (the colon
 has no dictionary entry).  The parser raises
@@ -30,21 +42,20 @@ catches to fall back on the paper's pattern approach.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import ParseFailure, ParseTimeout
-from repro.linkgrammar.connectors import (
-    Connector,
-    connectors_match,
-    link_label,
-)  # Connector is used in type aliases and pruning below.
+from repro.linkgrammar.connectors import Connector, link_label
 from repro.linkgrammar.dictionary import (
     LEFT_WALL,
     BitsetTables,
     Dictionary,
+    DisjunctMasks,
     MatchTables,
     default_dictionary,
 )
@@ -75,8 +86,9 @@ class ParserStats:
     disjuncts_before: int = 0
     disjuncts_after: int = 0
     parse_seconds: float = 0.0
-    #: Candidate disjuncts admitted by a bitset gate test in the
-    #: region recurrence (0 when the bitset path is off).
+    #: Candidate disjuncts the region recurrence tried before it
+    #: found the first witness of each region (0 when the bitset
+    #: path is off).
     match_bitset_hits: int = 0
     #: Disjuncts dropped by cost-bounded beam pruning (``beam=``).
     beam_pruned: int = 0
@@ -128,8 +140,9 @@ class LinkGrammarParser:
     can measure what pruning buys.
 
     ``bitset=False`` falls back from the packed-bitmask match tables
-    to the string-pair dict — again bit-for-bit identical output, the
-    toggle exists for parity tests and ablations.  ``beam`` (off by
+    and mask pruning to the string-pair dict and label-set pruning —
+    again bit-for-bit identical output, through the same recurrence;
+    the toggle exists for parity tests and ablations.  ``beam`` (off by
     default) enables cost-bounded beam pruning: at each word,
     disjuncts costing more than ``cheapest + beam`` are dropped before
     the recurrence.  Unlike power pruning this is an approximation —
@@ -225,12 +238,17 @@ class LinkGrammarParser:
         session = _ParseSession(
             sentence,
             disjuncts,
+            self.dictionary.match_tables(),
             prune=self.prune,
             deadline=deadline,
             budget=self.time_budget,
-            match_tables=self.dictionary.match_tables(),
             bitset_tables=(
                 self.dictionary.bitset_tables() if self.bitset else None
+            ),
+            disjunct_masks=(
+                self.dictionary.disjunct_masks()
+                if self.bitset and self.prune
+                else None
             ),
             beam=self.beam,
         )
@@ -353,110 +371,64 @@ class _ParseSession:
         self,
         sentence: list[str],
         disjuncts: list[list[Disjunct]],
+        match_tables: MatchTables,
         prune: bool = True,
         deadline: float | None = None,
         budget: float | None = None,
-        match_tables: "MatchTables | None" = None,
         bitset_tables: "BitsetTables | None" = None,
+        disjunct_masks: "DisjunctMasks | None" = None,
         beam: int | None = None,
     ) -> None:
         self.sentence = sentence
-        self.disjuncts = [list(d) for d in disjuncts]
+        # Dictionary lists are shared; pruning rebinds, never mutates.
+        self.disjuncts = list(disjuncts)
         self.n = len(sentence)
         self._deadline = deadline
         self._budget = budget
         self._ops = 0
-        self._count_memo: dict[tuple, int] = {}
-        self.match_bitset_hits = 0
+        self._memo: dict[tuple, bool] = {}
+        self.candidates_tried = 0
         self.beam_pruned = 0
-        if match_tables is not None:
-            # Dictionary-wide tables (possibly AOT-compiled): cover a
-            # superset of this sentence's labels, so no per-sentence
-            # table build.  Pruning intersects the matcher sets with
-            # the labels actually present, making the superset exact.
-            (
-                self._table,
-                self._matchers_for_left,
-                self._matchers_for_right,
-            ) = match_tables
-        else:
-            self._table = self._build_match_table()
-            self._matchers_for_left = {}
-            self._matchers_for_right = {}
-            for (pl, ml), ok in self._table.items():
-                if ok:
-                    self._matchers_for_left.setdefault(
-                        ml, set()
-                    ).add(pl)
-                    self._matchers_for_right.setdefault(
-                        pl, set()
-                    ).add(ml)
+        # Dictionary-wide tables (possibly AOT-compiled) cover a
+        # superset of this sentence's labels, so there is no
+        # per-sentence table build.  Pruning intersects them with the
+        # labels actually present, making the superset exact.
+        (
+            self._table,
+            self._matchers_for_left,
+            self._matchers_for_right,
+        ) = match_tables
         self._use_bitset = bitset_tables is not None
         if bitset_tables is not None:
-            (
-                self._plus_rows,
-                self._minus_rows,
-                self._plus_ids,
-                self._minus_ids,
-            ) = bitset_tables
+            self._plus_rows, _, _, self._minus_ids = bitset_tables
         self.disjuncts_before = sum(len(d) for d in self.disjuncts)
         if prune:
-            self._prune_bitset() if self._use_bitset else self._prune()
+            if disjunct_masks is not None:
+                self._prune_masks(disjunct_masks)
+            else:
+                self._prune()
         self.disjuncts_after = sum(len(d) for d in self.disjuncts)
         if beam is not None:
             self._beam_prune(beam)
+        # (W, head label, head points right) -> candidates at W.
+        self._index: dict[tuple[int, str, bool], list[Disjunct]] = {}
+        # Region -> (choices read so far, generator of the rest).
+        self._plans: dict[tuple, tuple[list, Iterator]] = {}
+
+    @property
+    def match_bitset_hits(self) -> int:
+        """Candidates tried, reported on the bitset path only."""
+        return self.candidates_tried if self._use_bitset else 0
+
+    def _links(self, plus: str, minus: str) -> bool:
+        """Can right-pointing label *plus* link to left-pointing
+        label *minus*?  One lookup in the dictionary's tables."""
         if self._use_bitset:
-            # Per-word gate arrays aligned with the (pruned) disjunct
-            # lists: the id of each disjunct's first left connector and
-            # the bitmask row of its first right connector, so the
-            # recurrence gates below test one precomputed bit.
-            minus_ids, plus_rows = self._minus_ids, self._plus_rows
-            self._left_head_ids = [
-                [
-                    minus_ids.get(d.left[0].label, -1) if d.left else -1
-                    for d in ds
-                ]
-                for ds in self.disjuncts
-            ]
-            self._right_head_rows = [
-                [
-                    plus_rows.get(d.right[0].label, 0) if d.right else 0
-                    for d in ds
-                ]
-                for ds in self.disjuncts
-            ]
-
-    def _build_match_table(self) -> dict[tuple[str, str], bool]:
-        """Precompute label-pair matches for this sentence's connectors.
-
-        The recurrence and the pruning pass both test the same small
-        set of (right-pointing, left-pointing) label pairs millions of
-        times; one pass over the distinct labels replaces every
-        ``connectors_match`` call with a dict lookup.
-        """
-        plus: dict[str, Connector] = {}
-        minus: dict[str, Connector] = {}
-        for ds in self.disjuncts:
-            for d in ds:
-                for c in d.right:
-                    plus.setdefault(c.label, c)
-                for c in d.left:
-                    minus.setdefault(c.label, c)
-        return {
-            (pl, ml): connectors_match(pc, mc)
-            for pl, pc in plus.items()
-            for ml, mc in minus.items()
-        }
-
-    def _match(self, plus: Connector, minus: Connector) -> bool:
-        """Precomputed label-pair lookup (see _build_match_table)."""
-        if self._use_bitset:
-            mid = self._minus_ids.get(minus.label, -1)
+            mid = self._minus_ids.get(minus, -1)
             return (
-                mid >= 0
-                and (self._plus_rows.get(plus.label, 0) >> mid) & 1 != 0
+                mid >= 0 and (self._plus_rows.get(plus, 0) >> mid) & 1 != 0
             )
-        return self._table[plus.label, minus.label]
+        return self._table[plus, minus]
 
     def _beam_prune(self, beam: int) -> None:
         """Cost-bounded beam pruning (approximate — see parser docs).
@@ -464,7 +436,7 @@ class _ParseSession:
         At each word, drop every disjunct costing more than the word's
         cheapest disjunct plus *beam*, bounding the branching factor
         of the O(n³) recurrence.  Applied once, before the recurrence,
-        so `_count` and `_extract` see the same disjunct lists and can
+        so `_exists` and `_extract` see the same disjunct lists and can
         never disagree about which candidates exist.
         """
         for i, ds in enumerate(self.disjuncts):
@@ -533,56 +505,58 @@ class _ParseSession:
                     self.disjuncts[i] = kept
                     changed = True
 
-    def _prune_bitset(self) -> None:
-        """Power pruning over packed bitmask rows — same fixpoint as
-        :meth:`_prune`, with the label-set algebra replaced by integer
-        AND: ``rights_before``/``lefts_after`` become bitmasks over
-        connector ids and each survival test is one mask intersection.
-        Keeps exactly the same disjuncts in the same order.
+    def _prune_masks(self, disjunct_masks: "DisjunctMasks") -> None:
+        """Power pruning over per-disjunct label masks — the same
+        fixpoint as :meth:`_prune`, keeping exactly the same disjuncts
+        in the same order.
+
+        A disjunct's mask has one bit per connector label (see
+        :meth:`Dictionary.disjunct_masks`); a word's labels are the OR
+        of its disjuncts' masks.  Each sweep collects the labels every
+        word could link to — right-pointing ones on earlier words,
+        left-pointing ones on later words — marks the word's labels
+        with no partner there as dead, and keeps a disjunct iff its
+        mask holds no dead label.
         """
-        plus_ids, minus_ids = self._plus_ids, self._minus_ids
-        plus_rows, minus_rows = self._plus_rows, self._minus_rows
+        masks, rows, plus_bits = disjunct_masks
+        # Each word's disjunct masks and their OR; words often share a
+        # dictionary list, so each list is looked up once.
+        aligned: dict[int, tuple[list[int], int]] = {}
+        word_masks: list[list[int]] = []
+        labels: list[int] = []
+        for ds in self.disjuncts:
+            found = aligned.get(id(ds))
+            if found is None:
+                ms = list(map(masks.__getitem__, map(id, ds)))
+                found = aligned[id(ds)] = (ms, _union(ms))
+            word_masks.append(found[0])
+            labels.append(found[1])
 
         changed = True
         while changed:
             changed = False
-            # Right-pointing label ids available strictly before word i.
-            rights_before: list[int] = []
+            reachable = [0] * self.n
             pool = 0
-            for ds in self.disjuncts:
-                rights_before.append(pool)
-                for d in ds:
-                    for c in d.right:
-                        pid = plus_ids.get(c.label)
-                        if pid is not None:
-                            pool |= 1 << pid
-            # Left-pointing label ids available strictly after word i.
-            lefts_after = [0] * self.n
+            for i in range(self.n):
+                reachable[i] = pool
+                pool |= labels[i] & plus_bits
             pool = 0
             for i in range(self.n - 1, -1, -1):
-                lefts_after[i] = pool
-                for d in self.disjuncts[i]:
-                    for c in d.left:
-                        mid = minus_ids.get(c.label)
-                        if mid is not None:
-                            pool |= 1 << mid
-            for i, ds in enumerate(self.disjuncts):
-                before, after = rights_before[i], lefts_after[i]
-                kept = [
-                    d
-                    for d in ds
-                    if all(
-                        before & minus_rows.get(c.label, 0)
-                        for c in d.left
-                    )
-                    and all(
-                        after & plus_rows.get(c.label, 0)
-                        for c in d.right
-                    )
-                ]
-                if len(kept) != len(ds):
-                    self.disjuncts[i] = kept
-                    changed = True
+                reachable[i] |= pool
+                pool |= labels[i] & ~plus_bits
+            for i, ms in enumerate(word_masks):
+                dead = 0
+                for bit in _bits(labels[i]):
+                    if not rows[bit] & reachable[i]:
+                        dead |= 1 << bit
+                if not dead:
+                    continue
+                keep = [not m & dead for m in ms]
+                ds = list(itertools.compress(self.disjuncts[i], keep))
+                self.disjuncts[i] = ds
+                word_masks[i] = list(itertools.compress(ms, keep))
+                labels[i] = _union(word_masks[i])
+                changed = True
 
     def _check_deadline(self) -> None:
         """Raise :class:`ParseTimeout` once the budget is exhausted.
@@ -609,226 +583,277 @@ class _ParseSession:
     ) -> list[tuple[frozenset[Link], int]]:
         self._check_deadline()
         found: dict[frozenset[Link], int] = {}
-        for disjunct in self.disjuncts[0]:
-            if disjunct.left:
-                continue
-            if not self._count(0, self.n, disjunct.right, ()):
-                continue
-            for links, cost in self._extract(0, self.n, disjunct.right, ()):
-                key = frozenset(links)
-                if key not in found or cost < found[key]:
-                    found[key] = cost + disjunct.cost
+        try:
+            for disjunct in self.disjuncts[0]:
+                if disjunct.left:
+                    continue
+                if not self._exists(0, self.n, disjunct.right, ()):
+                    continue
+                for links, cost in self._extract(
+                    0, self.n, disjunct.right, ()
+                ):
+                    key = frozenset(links)
+                    if key not in found or cost < found[key]:
+                        found[key] = cost + disjunct.cost
+                    if len(found) >= limit:
+                        break
                 if len(found) >= limit:
                     break
-            if len(found) >= limit:
-                break
+        finally:
+            # A plan generator still suspended holds this session, so
+            # drop them all: the session is then freed by reference
+            # counting instead of waiting for the cycle collector.
+            self._plans.clear()
         return list(found.items())
 
-    # ------------------------------------------------------------ count
+    # ------------------------------------------------------ candidates
 
-    def _count(self, L: int, R: int, le: ConnList, re: ConnList) -> int:
-        """Number of linkages of region (L, R) — capped, used to prune."""
+    def _candidates(
+        self, W: int, le: ConnList, re: ConnList
+    ) -> list[Disjunct]:
+        """Disjuncts at W that can take the region's forced head.
+
+        With connectors left on L, W must take le's head with its
+        first left connector; otherwise it must take re's head with
+        its first right connector.  The list depends only on W and
+        the head's label, so it is built once per session.
+        """
+        from_left = bool(le)
+        label = le[0].label if from_left else re[0].label
+        key = (W, label, from_left)
+        found = self._index.get(key)
+        if found is None:
+            ds = self.disjuncts[W]
+            if from_left:
+                firsts = [d.left[0].label if d.left else None for d in ds]
+                links = {
+                    first for first in set(firsts)
+                    if first is not None and self._links(label, first)
+                }
+            else:
+                firsts = [d.right[0].label if d.right else None for d in ds]
+                links = {
+                    first for first in set(firsts)
+                    if first is not None and self._links(first, label)
+                }
+            found = [d for d, first in zip(ds, firsts) if first in links]
+            self._index[key] = found
+        return found
+
+    # ----------------------------------------------------------- exists
+
+    def _exists(self, L: int, R: int, le: ConnList, re: ConnList) -> bool:
+        """Whether region (L, R) has a linkage — memoized.
+
+        Tries the candidates in extraction order and stops at the
+        first one with a linkage, so it decides exactly what a count
+        of the region's linkages would say about zero.
+        """
         self._ops += 1
         if not self._ops & 255:
             self._check_deadline()
         if R == L + 1:
-            return 1 if not le and not re else 0
+            return not le and not re
         if not le and not re:
-            return 0
+            return False
         key = (L, R, le, re)
-        memo = self._count_memo.get(key)
-        if memo is not None:
-            return memo
-        total = 0
-        le_head = le[0] if le else None
-        re_head = re[0] if re else None
-        if self._use_bitset:
-            # Same gate as below, vectorized: the row bitmask for the
-            # forced head is fetched once per region and each candidate
-            # disjunct is admitted by one precomputed bit test.
-            if le_head is not None:
-                row = self._plus_rows.get(le_head.label, 0)
-                for W in range(L + 1, R):
-                    head_ids = self._left_head_ids[W]
-                    for j, d in enumerate(self.disjuncts[W]):
-                        lid = head_ids[j]
-                        if lid < 0 or not (row >> lid) & 1:
-                            continue
-                        self.match_bitset_hits += 1
-                        total += self._count_choice(L, R, le, re, W, d)
-                        if total > 1_000_000:  # cap to avoid huge ints
-                            self._count_memo[key] = total
-                            return total
-            else:
-                rid = self._minus_ids.get(re_head.label, -1)
-                if rid >= 0:
-                    bit = 1 << rid
-                    for W in range(L + 1, R):
-                        head_rows = self._right_head_rows[W]
-                        for j, d in enumerate(self.disjuncts[W]):
-                            if not head_rows[j] & bit:
-                                continue
-                            self.match_bitset_hits += 1
-                            total += self._count_choice(
-                                L, R, le, re, W, d
-                            )
-                            if total > 1_000_000:
-                                self._count_memo[key] = total
-                                return total
-            self._count_memo[key] = total
-            return total
+        found = self._memo.get(key)
+        if found is not None:
+            return found
+        found = False
         for W in range(L + 1, R):
-            for d in self.disjuncts[W]:
-                # Gate: with connectors left on L, this W must take
-                # le's head; otherwise it must take re's head.  Cheap
-                # check before the full case analysis.
-                if le_head is not None:
-                    if not d.left or not self._match(le_head, d.left[0]):
-                        continue
-                else:
-                    if (
-                        re_head is None
-                        or not d.right
-                        or not self._match(d.right[0], re_head)
-                    ):
-                        continue
-                total += self._count_choice(L, R, le, re, W, d)
-                if total > 1_000_000:  # cap to avoid huge ints
-                    self._count_memo[key] = total
-                    return total
-        self._count_memo[key] = total
-        return total
+            for d in self._candidates(W, le, re):
+                self.candidates_tried += 1
+                if self._choice_exists(L, R, le, re, W, d):
+                    found = True
+                    break
+            if found:
+                break
+        self._memo[key] = found
+        return found
 
-    def _count_choice(
+    def _choice_exists(
         self, L: int, R: int, le: ConnList, re: ConnList,
         W: int, d: Disjunct,
-    ) -> int:
-        left_variants = self._match_variants(le, d.left)
-        right_variants = self._match_variants(d.right, re)
-        leftcount = sum(
-            self._count(L, W, nle, ndl) for nle, ndl in left_variants
+    ) -> bool:
+        """Whether disjunct *d* at W completes region (L, R).
+
+        With connectors left on L, W takes le's head, and its right
+        side either links to R too or leaves re for the words after
+        W.  The decomposition is unique because W is pinned to the
+        word that le's head links to; only when L has no connectors
+        left may W instead be the target of re's head, which then
+        leaves W's left side to the words before it.
+        """
+        if le:
+            return any(
+                self._exists(L, W, nle, ndl)
+                for nle, ndl in _variants(le, d.left)
+            ) and (
+                any(
+                    self._exists(W, R, ndr, nre)
+                    for ndr, nre in self._match_variants(d.right, re)
+                )
+                or self._exists(W, R, d.right, re)
+            )
+        return self._exists(L, W, le, d.left) and any(
+            self._exists(W, R, ndr, nre)
+            for ndr, nre in _variants(d.right, re)
         )
-        rightcount = sum(
-            self._count(W, R, ndr, nre) for ndr, nre in right_variants
-        )
-        total = leftcount * rightcount
-        if leftcount:
-            total += leftcount * self._count(W, R, d.right, re)
-        # The decomposition is unique because W is pinned to the word
-        # that le's head connector links to; only when L has no
-        # connectors left may W instead be the target of re's head.
-        if not le and rightcount:
-            total += self._count(L, W, le, d.left) * rightcount
-        return total
 
     def _match_variants(
         self, plus_list: ConnList, minus_list: ConnList
     ) -> list[tuple[ConnList, ConnList]]:
-        """Successor list pairs after linking the two head connectors.
-
-        ``plus_list`` belongs to the earlier word (pointing right),
-        ``minus_list`` to the later word (pointing left), both
-        farthest-first.  Multi-connectors may stay for further links.
-        """
-        if not plus_list or not minus_list:
+        """:func:`_variants` if both lists have heads that link."""
+        if (
+            not plus_list
+            or not minus_list
+            or not self._links(plus_list[0].label, minus_list[0].label)
+        ):
             return []
-        a, b = plus_list[0], minus_list[0]
-        if not self._match(a, b):
-            return []
-        variants = [(plus_list[1:], minus_list[1:])]
-        if a.multi:
-            variants.append((plus_list, minus_list[1:]))
-        if b.multi:
-            variants.append((plus_list[1:], minus_list))
-        if a.multi and b.multi:
-            variants.append((plus_list, minus_list))
-        return variants
+        return _variants(plus_list, minus_list)
 
     # --------------------------------------------------------- extract
 
     def _extract(
         self, L: int, R: int, le: ConnList, re: ConnList
     ) -> Iterator[tuple[list[Link], int]]:
-        """Generate (links, cost) for region (L, R) — mirrors _count."""
+        """Generate (links, cost) for region (L, R) — mirrors _exists.
+
+        Choices come in candidate order, and for each choice the
+        links to both L and R first, then to L only, then to R only.
+        """
         if R == L + 1:
             if not le and not re:
                 yield [], 0
             return
         if not le and not re:
             return
-        le_head = le[0] if le else None
-        re_head = re[0] if re else None
-        for W in range(L + 1, R):
-            for d in self.disjuncts[W]:
-                # Same gate as _count: W must take the forced head.
-                if le_head is not None:
-                    if not d.left or not self._match(le_head, d.left[0]):
-                        continue
-                else:
-                    if (
-                        re_head is None
-                        or not d.right
-                        or not self._match(d.right[0], re_head)
-                    ):
-                        continue
-                yield from self._extract_choice(L, R, le, re, W, d)
-
-    def _extract_choice(
-        self, L: int, R: int, le: ConnList, re: ConnList,
-        W: int, d: Disjunct,
-    ) -> Iterator[tuple[list[Link], int]]:
-        left_variants = self._match_variants(le, d.left)
-        right_variants = self._match_variants(d.right, re)
-        has_left = any(
-            self._count(L, W, nle, ndl) for nle, ndl in left_variants
-        )
-        has_right = any(
-            self._count(W, R, ndr, nre) for ndr, nre in right_variants
-        )
-
-        def left_link() -> Link:
-            return Link(L, W, link_label(le[0], d.left[0]))
-
-        def right_link() -> Link:
-            return Link(W, R, link_label(d.right[0], re[0]))
-
-        # Both boundary links.
-        if has_left and has_right:
-            for nle, ndl in left_variants:
-                if not self._count(L, W, nle, ndl):
-                    continue
+        key = (L, R, le, re)
+        plans = self._plans.get(key)
+        if plans is None:
+            plans = self._plans[key] = ([], self._plan(L, R, le, re))
+        for W, d, lefts, rights, to_l, to_r, only_l, only_r in _replay(
+            *plans
+        ):
+            # Both boundary links.
+            for nle, ndl in lefts if rights else ():
                 for llinks, lcost in self._extract(L, W, nle, ndl):
-                    for ndr, nre in right_variants:
-                        if not self._count(W, R, ndr, nre):
-                            continue
+                    for ndr, nre in rights:
                         for rlinks, rcost in self._extract(W, R, ndr, nre):
                             yield (
-                                llinks + rlinks + [left_link(), right_link()],
+                                llinks + rlinks + [to_l, to_r],
                                 lcost + rcost + d.cost,
                             )
-        # Left boundary link only.
-        if has_left and self._count(W, R, d.right, re):
-            for nle, ndl in left_variants:
-                if not self._count(L, W, nle, ndl):
-                    continue
+            # Left boundary link only.
+            for nle, ndl in lefts if only_l else ():
                 for llinks, lcost in self._extract(L, W, nle, ndl):
                     for rlinks, rcost in self._extract(W, R, d.right, re):
-                        yield (
-                            llinks + rlinks + [left_link()],
-                            lcost + rcost + d.cost,
-                        )
-        # Right boundary link only (legal only with an exhausted le —
-        # see _count_choice).
-        if not le and has_right and self._count(L, W, le, d.left):
-            for ndr, nre in right_variants:
-                if not self._count(W, R, ndr, nre):
-                    continue
+                        yield llinks + rlinks + [to_l], lcost + rcost + d.cost
+            # Right boundary link only (legal only with an exhausted
+            # le — see _choice_exists).
+            for ndr, nre in rights if only_r else ():
                 for rlinks, rcost in self._extract(W, R, ndr, nre):
                     for llinks, lcost in self._extract(L, W, le, d.left):
-                        yield (
-                            llinks + rlinks + [right_link()],
-                            lcost + rcost + d.cost,
+                        yield llinks + rlinks + [to_r], lcost + rcost + d.cost
+
+    def _plan(
+        self, L: int, R: int, le: ConnList, re: ConnList
+    ) -> Iterator[tuple]:
+        """The choices of region (L, R) that have a linkage, in order.
+
+        Each is ``(W, d, lefts, rights, to_l, to_r, only_l, only_r)``:
+        the variants of W's link to L and of its link to R whose
+        sub-regions have a linkage, those two links, and whether W may
+        link to L only or to R only — the case analysis of
+        :meth:`_choice_exists`, kept in full for extraction.  A region
+        is extracted once per linkage of the regions around it;
+        :meth:`_extract` memoizes what this yields so re-extraction
+        skips the choices that yield nothing, and reads it lazily so
+        an extraction stopped at the linkage limit never decides
+        choices it does not reach.
+        """
+        for W in range(L + 1, R):
+            for d in self._candidates(W, le, re):
+                # The candidate index already matched the forced head.
+                if le:
+                    lefts = [
+                        (nle, ndl) for nle, ndl in _variants(le, d.left)
+                        if self._exists(L, W, nle, ndl)
+                    ]
+                    if not lefts:
+                        continue
+                    rights = [
+                        (ndr, nre)
+                        for ndr, nre in self._match_variants(d.right, re)
+                        if self._exists(W, R, ndr, nre)
+                    ]
+                    only_l = self._exists(W, R, d.right, re)
+                    if rights or only_l:
+                        to_l = Link(L, W, link_label(le[0], d.left[0]))
+                        to_r = (
+                            Link(W, R, link_label(d.right[0], re[0]))
+                            if rights
+                            else None
                         )
+                        yield W, d, lefts, rights, to_l, to_r, only_l, False
+                    continue
+                rights = [
+                    (ndr, nre) for ndr, nre in _variants(d.right, re)
+                    if self._exists(W, R, ndr, nre)
+                ]
+                if rights and self._exists(L, W, le, d.left):
+                    to_r = Link(W, R, link_label(d.right[0], re[0]))
+                    yield W, d, [], rights, None, to_r, False, True
+
+
+def _replay(done: list, pending: Iterator) -> Iterator:
+    """Iterate a memoized lazy sequence: *done* first, then whatever
+    *pending* still yields, appending it to *done* for later readers.
+    """
+    i = 0
+    while True:
+        if i == len(done):
+            item = next(pending, None)
+            if item is None:
+                return
+            done.append(item)
+        yield done[i]
+        i += 1
+
+
+def _variants(
+    plus_list: ConnList, minus_list: ConnList
+) -> list[tuple[ConnList, ConnList]]:
+    """Successor list pairs after linking the two head connectors.
+
+    ``plus_list`` belongs to the earlier word (pointing right),
+    ``minus_list`` to the later word (pointing left), both
+    farthest-first, and their heads link.  Multi-connectors may stay
+    for further links.
+    """
+    a, b = plus_list[0], minus_list[0]
+    variants = [(plus_list[1:], minus_list[1:])]
+    if a.multi:
+        variants.append((plus_list, minus_list[1:]))
+    if b.multi:
+        variants.append((plus_list[1:], minus_list))
+    if a.multi and b.multi:
+        variants.append((plus_list, minus_list))
+    return variants
+
+
+def _union(masks: list[int]) -> int:
+    """OR of *masks*."""
+    return functools.reduce(operator.or_, masks, 0)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of *mask*, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def parse(words: list[str], tags: list[str] | None = None) -> Linkage:

@@ -220,50 +220,6 @@ class LinkageCache:
             for i, word in enumerate(words)
         )
 
-    @staticmethod
-    def signature(
-        parser: LinkGrammarParser,
-        words: Sequence[str],
-        tags: Sequence[str] | None,
-    ) -> tuple:
-        """Token-sequence key under which a parse may be shared.
-
-        The parser's identity-relevant configuration leads the key:
-        ``max_linkages`` changes which linkage ``parse_one`` returns
-        (extraction stops at the cap before cost-ranking all linkages),
-        ``beam`` changes which disjuncts survive pruning, and
-        different dictionaries resolve tokens differently, so one
-        cache can serve differently-configured parsers safely.
-        """
-        head = (
-            id(parser.dictionary),
-            parser.max_linkages,
-            parser.max_words,
-            getattr(parser, "beam", None),
-        )
-        return head + LinkageCache._resolution_tail(parser, words, tags)
-
-    @staticmethod
-    def persistent_key(
-        parser: LinkGrammarParser,
-        words: Sequence[str],
-        tags: Sequence[str] | None = None,
-    ) -> tuple:
-        """Cross-run key: like :meth:`signature` but process-portable.
-
-        The dictionary is identified by the sidecar's signature check
-        at attach time rather than ``id()``, and the parse budget
-        joins the key so a timeout recorded under one budget can never
-        be served to a run with a different one.
-        """
-        head = (
-            getattr(parser, "time_budget", None),
-            getattr(parser, "beam", None),
-            parser.max_linkages,
-            parser.max_words,
-        )
-        return head + LinkageCache._resolution_tail(parser, words, tags)
-
     # ----------------------------------------------------------- lookup
 
     def lookup(
@@ -277,6 +233,18 @@ class LinkageCache:
         *words* are used exactly as given (callers lowercase them
         first, matching the extraction pipeline's convention).
         """
+        # Both keys end in the per-token resolution classes and lead
+        # with the parser configuration that changes outcomes:
+        # ``max_linkages`` changes which linkage ``parse_one`` returns
+        # (extraction stops at the cap before cost-ranking them all),
+        # ``beam`` changes which disjuncts survive pruning.  The LRU
+        # key adds ``id(parser.dictionary)``, since dictionaries
+        # resolve tokens differently, so one cache can serve
+        # differently-configured parsers.  The cross-run key must be
+        # process-portable: the sidecar's signature check identifies
+        # the dictionary instead, and the parse budget joins the key
+        # so a timeout recorded under one budget is never served to a
+        # run with another.
         tail = self._resolution_tail(parser, words, tags)
         key = (
             id(parser.dictionary),

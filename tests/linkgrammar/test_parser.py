@@ -1,5 +1,8 @@
 """Parser tests: clinical sentences, invariants, failure modes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ParseFailure
@@ -9,6 +12,7 @@ from repro.linkgrammar import (
     LinkGrammarParser,
     Linkage,
 )
+from repro.linkgrammar.parser import _ParseSession
 
 FIGURE1 = (
     "blood pressure is 144/90 , pulse of 84 , temperature of 98.3 , "
@@ -253,6 +257,29 @@ class TestBitsetParity:
             fast.stats.disjuncts_before
             == slow.stats.disjuncts_before
         )
+
+
+class TestSessionLifetime:
+    def test_session_is_freed_without_the_cycle_collector(
+        self, monkeypatch
+    ):
+        # max_linkages=1 stops extraction with region plans still
+        # suspended; they must not keep the session's tables alive.
+        sessions = []
+        real = _ParseSession.linkages
+
+        def recording(session, limit):
+            sessions.append(weakref.ref(session))
+            return real(session, limit)
+
+        monkeypatch.setattr(_ParseSession, "linkages", recording)
+        parser = LinkGrammarParser(max_linkages=1)
+        gc.disable()
+        try:
+            assert len(parser.parse(FIGURE1)) == 1
+            assert sessions and sessions[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestBeamPruning:

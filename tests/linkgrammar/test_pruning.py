@@ -9,10 +9,13 @@ corpus sample — while the disjunct count entering the recurrence
 strictly drops.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import ParseFailure
-from repro.linkgrammar import LinkGrammarParser
+from repro.linkgrammar import Dictionary, LinkGrammarParser
 from repro.nlp import analyze
 from repro.synth import CohortSpec, RecordGenerator
 
@@ -124,3 +127,82 @@ class TestStats:
         parser = LinkGrammarParser()
         parser.parse(FIGURE1)
         assert parser.stats.parse_seconds > 0.0
+
+
+class TestDisjunctMasks:
+    """Mask pruning's per-disjunct table and the shared word lists."""
+
+    @staticmethod
+    def distinct_disjuncts(dictionary):
+        return {
+            id(d) for ds in dictionary._disjunct_lists() for d in ds
+        }
+
+    def test_words_with_one_entry_share_the_expression_list(self):
+        d = Dictionary(
+            entries=[("alpha beta", "X+"), ("beta", "Y+")],
+            tag_defaults=[],
+        )
+        assert d.disjuncts("alpha") is d._expand("X+")
+        merged = d.disjuncts("beta")
+        assert merged is not d._expand("X+")
+        assert [x.right[0].label for x in merged] == ["X", "Y"]
+        assert [x.right[0].label for x in d._expand("X+")] == ["X"]
+
+    def test_one_mask_per_distinct_disjunct(self):
+        d = Dictionary()
+        masks = d.disjunct_masks()[0]
+        assert set(masks) == self.distinct_disjuncts(d)
+
+    def test_private_list_copies_keep_the_bound_and_the_parses(self):
+        # An artifact compiled before words shared lists carries one
+        # private copy per word, of the same Disjunct objects.
+        shared = Dictionary()
+        private = Dictionary()
+        private._words = {
+            word: list(ds) for word, ds in private._words.items()
+        }
+        masks = private.disjunct_masks()[0]
+        assert len(masks) == len(self.distinct_disjuncts(private))
+        assert len(masks) == len(shared.disjunct_masks()[0])
+        assert LinkGrammarParser(dictionary=private).parse(
+            FIGURE1
+        ) == LinkGrammarParser(dictionary=shared).parse(FIGURE1)
+
+    def test_add_invalidates_and_copies_drop_the_masks(self):
+        d = Dictionary()
+        before = d.disjunct_masks()
+        assert copy.deepcopy(d)._disjunct_masks is None
+        assert pickle.loads(pickle.dumps(d))._disjunct_masks is None
+        d.add("zzgloblet", "{D-} & (Wd- or O-)")
+        assert d._disjunct_masks is None
+        assert d.disjunct_masks() is not before
+
+    def test_unlinkable_label_is_pruned_like_the_table_path(self):
+        d = Dictionary(
+            entries=[
+                ("###LEFT-WALL###", "Wd+"),
+                ("one", "Wd- & {Q+}"),
+                ("two", "Q- or Zz-"),
+            ],
+            tag_defaults=[],
+        )
+        for bitset in (True, False):
+            parser = LinkGrammarParser(dictionary=d, bitset=bitset)
+            assert len(parser.parse(["one", "two"])) == 1
+            # "Zz-" has no partner anywhere, so it never survives.
+            assert parser.stats.disjuncts_before == 5
+            assert parser.stats.disjuncts_after == 4
+
+    def test_label_missing_from_the_tables_is_never_linked(self):
+        # No word has a left connector, so the match tables are empty
+        # and no label has an id.
+        d = Dictionary(
+            entries=[("###LEFT-WALL###", "Wd+"), ("one", "{Q+}")],
+            tag_defaults=[],
+        )
+        for bitset in (True, False):
+            parser = LinkGrammarParser(dictionary=d, bitset=bitset)
+            with pytest.raises(ParseFailure, match="no complete linkage"):
+                parser.parse(["one"])
+            assert parser.stats.disjuncts_after == 1

@@ -16,6 +16,7 @@ import pytest
 from repro.client import (
     DeadlineExceeded,
     QuarantinedRecord,
+    RecordTooLarge,
     ServiceClient,
 )
 from repro.errors import ServiceError
@@ -537,6 +538,60 @@ class TestProtocolErrors:
             "shutting-down",
             "too-large",
         }
+
+
+class TestClientLineLimit:
+    """The client refuses a record the service would answer with
+    ``too-large``, names it, sends nothing, and keeps the connection.
+    """
+
+    @staticmethod
+    def _sized(patient_id, size, request_id):
+        """A record whose extract request line is *size* bytes long."""
+        record = _record(patient_id)
+
+        def line_bytes():
+            payload = {
+                "op": "extract",
+                "record": record_to_dict(record),
+                "id": request_id,
+            }
+            return len(json.dumps(payload).encode("utf-8"))
+
+        record.raw_text = "x" * (size - line_bytes())
+        assert line_bytes() == size
+        return record
+
+    def test_extract_at_and_over_the_limit(self, serve):
+        stub = StubExtractor()
+        service, path = serve(extractor=stub)
+        with ServiceClient(socket_path=path) as client:
+            fits = self._sized("fits", MAX_LINE_BYTES, "q1")
+            assert client.extract(fits).patient_id == "fits"
+            over = self._sized("over", MAX_LINE_BYTES + 1, "q2")
+            with pytest.raises(RecordTooLarge) as refused:
+                client.extract(over)
+            message = str(refused.value)
+            assert "'over'" in message
+            assert str(MAX_LINE_BYTES + 1) in message
+            assert client.extract(_record("next")).patient_id == "next"
+        assert stub.extracted == ["fits", "next"]
+        assert service.stats()["rejected_too_large"] == 0
+
+    def test_extract_many_refuses_and_drains(self, serve):
+        stub = StubExtractor()
+        service, path = serve(extractor=stub)
+        records = [
+            _record("a"),
+            self._sized("huge", 2 * MAX_LINE_BYTES, "q2"),
+            _record("c"),
+        ]
+        with ServiceClient(socket_path=path) as client:
+            with pytest.raises(RecordTooLarge, match="'huge'"):
+                client.extract_many(records)
+            assert client.extract(_record("next")).patient_id == "next"
+        assert stub.extracted == ["a", "next"]
+        assert service.stats()["rejected_too_large"] == 0
 
 
 class TestGracefulDrain:

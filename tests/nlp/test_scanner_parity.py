@@ -3,7 +3,9 @@
 The fused scanner exists purely for speed — one traversal instead of
 four — so its contract is byte-identical output: same annotation
 types, ids, spans, and features as the staged
-tokenizer → splitter → tagger → number pipeline, on any text.
+tokenizer → splitter → tagger → number pipeline, on any text, and the
+same sentence views, whether the scanner builds them or
+:meth:`Document.sentence_views` builds them on first use.
 """
 
 import pytest
@@ -26,17 +28,33 @@ ADVERSARIAL = [
     "...  !!  ??",
     "1,250 units vs 3/4 ratio",
     "Dr. Smith saw the pt. at 9 a.m. on admission",
+    # "two\nthree" is one word-number run across a sentence break: a
+    # Number annotation that no sentence view may hold.
+    "she is gravida two\nthree children at home. Pulse 84.",
 ]
 
 
 def _dump(document):
-    return [
+    annotations = [
         (a.type, a.id, a.start, a.end, dict(a.features))
         for a in sorted(
             document.annotations.all(),
             key=lambda a: (a.type, a.id),
         )
     ]
+    views = [
+        (
+            view.sentence.id,
+            [t.id for t in view.tokens],
+            view.texts,
+            view.lowers,
+            view.tags,
+            [n.id for n in view.numbers],
+            view.token_index_by_start,
+        )
+        for view in document.sentence_views()
+    ]
+    return annotations, views
 
 
 def _process(text, fused):
@@ -108,6 +126,21 @@ def test_sentence_views_align_with_annotations():
             assert view.token_index_by_start[token.start] == i
     # Cached: the second call returns the same view objects.
     assert document.sentence_views() is views
+
+
+def test_number_across_a_sentence_break_is_in_no_view():
+    text = "she is gravida two\nthree children at home. Pulse 84."
+    for fused in (True, False):
+        document = default_pipeline(fused=fused).process_text(text)
+        numbers = document.numbers()
+        assert [(n.start, n.end, n.features["value"]) for n in numbers] == [
+            (15, 24, 5.0),
+            (49, 51, 84.0),
+        ]
+        assert [
+            [(n.start, n.end) for n in view.numbers]
+            for view in document.sentence_views()
+        ] == [[], [], [(49, 51)]]
 
 
 def test_default_pipeline_is_fused():

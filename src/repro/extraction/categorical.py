@@ -28,6 +28,7 @@ from repro.linkgrammar.parser import LinkGrammarParser
 from repro.ml.dataset import Dataset
 from repro.ml.id3 import ID3Classifier
 from repro.morphology.lemmatizer import Lemmatizer
+from repro.nlp.document import SentenceView
 from repro.nlp.pipeline import Pipeline
 from repro.records.model import PatientRecord
 from repro.runtime import tracing
@@ -62,6 +63,9 @@ def _feature_expansions() -> dict[str, tuple[str, ...]]:
 _FEATURE_EXPANSIONS: dict[str, tuple[str, ...]] = _feature_expansions()
 
 _ALL_CLASSES = frozenset(_POS_CLASSES)
+
+#: Names the ID3 word-feature memo in a sentence view's cache.
+_WORD_FEATURES = object()
 
 
 @dataclass(frozen=True)
@@ -105,35 +109,22 @@ class SentenceFeatureExtractor:
         self.linkage_cache = linkage_cache or LinkageCache()
 
     def extract(self, text: str) -> frozenset[str]:
-        """Feature set of *text* (all sentences pooled)."""
+        """Feature set of *text* (all sentences pooled).
+
+        A sentence's word features are memoized in its view's cache
+        under :meth:`_memo_key`, so classifiers with the same word
+        options featurize a sentence once between them; the numeric
+        features stay per classifier.
+        """
         opts = self.options
         document = self.document_cache.get(text)
+        key = self._memo_key()
         features: set[str] = set()
-        for sentence in document.sentences():
-            tokens = document.tokens(sentence)
-            keep = self._structural_filter(document, tokens)
-            for index, token in enumerate(tokens):
-                if index not in keep:
-                    continue
-                tag = token.features.get("pos", "")
-                if not self._pos_ok(tag):
-                    continue
-                word = document.span_text(token).lower()
-                expansion = _FEATURE_EXPANSIONS.get(word)
-                if expansion is not None:
-                    # Normalize chart-speak into the expanded
-                    # vocabulary: the abbreviation itself is not a
-                    # feature, its expansion words are.
-                    for expanded in expansion:
-                        features.add(
-                            self.lemmatizer.lemma(expanded, tag)
-                            if opts.use_lemma
-                            else expanded
-                        )
-                    continue
-                if opts.use_lemma:
-                    word = self.lemmatizer.lemma(word, tag)
-                features.add(word)
+        for view in document.sentence_views():
+            words = view.cache.get(key)
+            if words is None:
+                words = view.cache[key] = self._sentence_features(view)
+            features.update(words)
         for threshold in opts.numeric_thresholds:
             values = [
                 n.features["value"] for n in document.numbers()
@@ -144,30 +135,67 @@ class SentenceFeatureExtractor:
                 features.add(f"NUM>{threshold:g}")
         return frozenset(features)
 
-    # ------------------------------------------------------- filtering
+    def _memo_key(self) -> tuple:
+        """Everything one sentence's word features depend on.
 
-    def _pos_ok(self, tag: str) -> bool:
-        for name in self.options.pos_classes:
-            for prefix in _POS_CLASSES[name]:
-                if tag.startswith(prefix):
-                    return True
-        return False
-
-    def _structural_filter(self, document, tokens) -> set[int]:
-        """Token indices passing the constituent/head filters.
-
-        Both filters need a parse; when the sentence has no linkage
-        every token passes — a fragment has no constituents to select.
+        The options except the numeric thresholds, and the lemmatizer;
+        with a constituent or head filter also the parser and linkage
+        cache, held as objects (ids are reused after collection).
         """
         opts = self.options
-        all_indices = set(range(len(tokens)))
+        structural = opts.constituents is not None or opts.head_only
+        return (
+            _WORD_FEATURES,
+            opts.pos_classes,
+            opts.constituents,
+            opts.head_only,
+            opts.use_lemma,
+            type(self.lemmatizer),
+            self.lemmatizer.known,
+            (self.parser, self.linkage_cache) if structural else None,
+        )
+
+    def _sentence_features(self, view: SentenceView) -> frozenset[str]:
+        """Word features of one sentence."""
+        opts = self.options
+        keep = self._structural_filter(view)
+        prefixes = tuple(
+            prefix
+            for name in opts.pos_classes
+            for prefix in _POS_CLASSES[name]
+        )
+        lemma = self.lemmatizer.lemma
+        features: set[str] = set()
+        for index, (word, tag) in enumerate(zip(view.lowers, view.tags)):
+            if keep is not None and index not in keep:
+                continue
+            if not tag.startswith(prefixes):
+                continue
+            # Chart-speak normalizes into the expanded vocabulary: the
+            # abbreviation itself is not a feature, its expansion
+            # words are.
+            for expanded in _FEATURE_EXPANSIONS.get(word, (word,)):
+                features.add(
+                    lemma(expanded, tag) if opts.use_lemma else expanded
+                )
+        return frozenset(features)
+
+    # ------------------------------------------------------- filtering
+
+    def _structural_filter(self, view: SentenceView) -> set[int] | None:
+        """Token indices passing the constituent/head filters.
+
+        ``None`` means every token passes: no filter is set, or the
+        sentence has no linkage — a fragment has no constituents to
+        select.
+        """
+        opts = self.options
         if opts.constituents is None and not opts.head_only:
-            return all_indices
-        words = [document.span_text(t).lower() for t in tokens]
-        tags = [t.features.get("pos", "NN") for t in tokens]
-        linkage = self.linkage_cache.lookup(self.parser, words, tags)
+            return None
+        tags = [t.features.get("pos", "NN") for t in view.tokens]
+        linkage = self.linkage_cache.lookup(self.parser, view.lowers, tags)
         if linkage is None:
-            return all_indices
+            return None
         pos_to_token = {
             pos: tok_idx
             for pos, tok_idx in enumerate(linkage.token_map)

@@ -84,6 +84,10 @@ TAG_TO_POS = {
 }
 
 
+#: Entries the per-lemmatizer memo holds before it is cleared.
+_LEMMA_MEMO_MAX = 65536
+
+
 def _doubled_consonant_stem(word: str, suffix: str) -> str | None:
     """stopped -> stop, quitting -> quit (for -ed / -ing)."""
     stem = word[:-len(suffix)]
@@ -99,10 +103,30 @@ class Lemmatizer:
     default a word validates if the built-in lexicon knows it.  The
     ontology layer passes its own vocabulary in so that medical terms
     outside the tagger lexicon still normalize correctly.
+
+    A lemma depends only on the word, the POS and ``known``, so each
+    instance memoizes :meth:`lemma`.  The memo belongs to the process:
+    it is never pickled, and a lemmatizer unpickled from a state
+    without one (an artifact written before it existed) starts empty.
     """
 
     def __init__(self, known: Callable[[str], bool] | None = None) -> None:
         self._known = known or self._default_known
+        self._memo: dict[tuple[str, str | None], str] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_memo", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
+
+    @property
+    def known(self) -> Callable[[str], bool]:
+        """The word-validation predicate rule results must pass."""
+        return self._known
 
     @staticmethod
     def _default_known(word: str) -> bool:
@@ -119,6 +143,17 @@ class Lemmatizer:
         With ``pos=None`` the POS order noun, verb, adjective is tried —
         the order WordNet's ``morphy`` uses when unconstrained.
         """
+        key = (word, pos)
+        memo = self._memo
+        found = memo.get(key)
+        if found is None:
+            found = self._lemma(word, pos)
+            if len(memo) >= _LEMMA_MEMO_MAX:
+                memo.clear()
+            memo[key] = found
+        return found
+
+    def _lemma(self, word: str, pos: str | None) -> str:
         lower = word.lower()
         if lower in NON_INFLECTED:
             return lower

@@ -31,6 +31,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
 
@@ -44,7 +45,7 @@ class TokenKind(str, Enum):
     SYMBOL = "symbol"
 
 
-@dataclass
+@dataclass(slots=True)
 class Annotation:
     """A typed span of document text with arbitrary features.
 
@@ -88,6 +89,10 @@ class Annotation:
         )
 
 
+#: Document order of annotations: span, then id (see ``Annotation``).
+_ORDER = attrgetter("start", "end", "id")
+
+
 class AnnotationSet:
     """An ordered, indexable collection of annotations.
 
@@ -98,14 +103,13 @@ class AnnotationSet:
 
     def __init__(self) -> None:
         self._by_type: dict[str, list[Annotation]] = {}
-        self._keys: dict[str, list[tuple[int, int, int]]] = {}
         self._ids = itertools.count(1)
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_type.values())
 
     def __iter__(self) -> Iterator[Annotation]:
-        return iter(sorted(self.all()))
+        return iter(sorted(self.all(), key=_ORDER))
 
     def all(self) -> list[Annotation]:
         return [a for anns in self._by_type.values() for a in anns]
@@ -118,27 +122,37 @@ class AnnotationSet:
         features: dict[str, Any] | None = None,
     ) -> Annotation:
         """Create, store and return a new annotation."""
-        ann = Annotation(
-            id=next(self._ids),
-            type=type,
-            start=start,
-            end=end,
-            features=dict(features or {}),
-        )
-        lst = self._by_type.setdefault(type, [])
-        keys = self._keys.setdefault(type, [])
-        key = (ann.start, ann.end, ann.id)
-        # Components add mostly in document order: appending is the
-        # common case; the sort key list is maintained incrementally
-        # so out-of-order adds bisect instead of rebuilding it.
-        if not keys or key >= keys[-1]:
-            keys.append(key)
-            lst.append(ann)
+        return self.extend(type, [(start, end, dict(features or {}))])[0]
+
+    def extend(
+        self,
+        type: str,
+        rows: Iterable[tuple[int, int, dict[str, Any]]],
+    ) -> list[Annotation]:
+        """Store one annotation per ``(start, end, features)`` row.
+
+        *rows* must be in document order; each annotation takes over
+        its row's features dict without copying it.  Returns the new
+        annotations in row order.
+        """
+        ids = self._ids
+        added = [
+            Annotation(next(ids), type, start, end, features)
+            for start, end, features in rows
+        ]
+        if not added:
+            return added
+        stored = self._by_type.setdefault(type, [])
+        # Components add in document order: appending is the common
+        # case; rows that sort before the stored tail bisect into place.
+        if not stored or _ORDER(stored[-1]) < _ORDER(added[0]):
+            stored.extend(added)
         else:
-            index = bisect.bisect(keys, key)
-            keys.insert(index, key)
-            lst.insert(index, ann)
-        return ann
+            for ann in added:
+                stored.insert(
+                    bisect.bisect(stored, _ORDER(ann), key=_ORDER), ann
+                )
+        return added
 
     def of_type(self, type: str) -> list[Annotation]:
         """All annotations of *type* in document order."""
@@ -176,9 +190,6 @@ class AnnotationSet:
         Raises ``ValueError`` if the annotation is not in the set.
         """
         self._by_type.get(annotation.type, []).remove(annotation)
-        self._keys.get(annotation.type, []).remove(
-            (annotation.start, annotation.end, annotation.id)
-        )
 
 
 class Document:
@@ -188,6 +199,7 @@ class Document:
         self.text = text
         self.name = name
         self.annotations = AnnotationSet()
+        #: Set by the fused scanner, else by :meth:`sentence_views`.
         self._sentence_views: list["SentenceView"] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -221,17 +233,21 @@ class Document:
         return [self.span_text(t) for t in self.tokens(within)]
 
     def sentence_views(self) -> list["SentenceView"]:
-        """Per-sentence token/number views, computed once per document.
+        """Per-sentence token/number views: built by the fused
+        scanner, lazily otherwise.
 
         The extraction hot path repeatedly needs "the tokens of this
         sentence plus their texts, lowercased texts, and POS tags"; each
         of those used to be rebuilt per extractor call with an O(T)
-        containment scan.  A view materializes them in one pointer walk
-        over the (sorted) token and number lists and is cached on the
-        document, which itself lives in the LRU document cache.
+        containment scan.  The fused scanner builds the views from the
+        lists it already holds while it annotates; for a document from
+        any other pipeline they are built on the first call, in one
+        pointer walk over the (sorted) token and number lists.  Either
+        way they are cached on the document, which itself lives in the
+        LRU document cache.
 
-        Call only after the pipeline has run — views snapshot the
-        annotations present at first call.
+        Views snapshot the Token, Sentence and Number annotations when
+        they are built — call this only after the pipeline has run.
         """
         views = self._sentence_views
         if views is None:
@@ -240,14 +256,14 @@ class Document:
         return views
 
 
-@dataclass
+@dataclass(slots=True)
 class SentenceView:
     """Precomputed per-sentence token context for the extractors.
 
     ``cache`` is scratch space for extractor-private memos (keyed by an
     extractor-owned token object) so work derived from the view — term
-    candidates, negation scopes, linkage parses — is shared across the
-    attributes that visit the same sentence.
+    candidates, negation scopes, linkage parses, ID3 word features —
+    is shared across the attributes that visit the same sentence.
     """
 
     sentence: Annotation
@@ -260,30 +276,51 @@ class SentenceView:
     cache: dict[Any, Any] = field(default_factory=dict)
 
 
+def sentence_view(
+    sentence: Annotation,
+    tokens: list[Annotation],
+    texts: list[str],
+    tags: list[str],
+    numbers: list[Annotation],
+) -> SentenceView:
+    """The view of *sentence* from its tokens, their interned surface
+    texts and POS tags, and the numbers inside it.
+
+    The one view builder: the fused scanner calls it with slices of
+    the lists it scanned, :meth:`Document.sentence_views` with lists
+    re-derived from the annotations.
+    """
+    intern = sys.intern
+    return SentenceView(
+        sentence=sentence,
+        tokens=tokens,
+        texts=texts,
+        lowers=[intern(text.lower()) for text in texts],
+        tags=tags,
+        numbers=numbers,
+        token_index_by_start={t.start: i for i, t in enumerate(tokens)},
+    )
+
+
 def _build_sentence_views(document: Document) -> list[SentenceView]:
     sentences = document.sentences()
     spans = [(s.start, s.end) for s in sentences]
-    token_groups = align_tokens(document.tokens(), spans)
-    number_groups = align_tokens(document.numbers(), spans)
     text = document.text
     intern = sys.intern
-    views: list[SentenceView] = []
-    for sentence, toks, nums in zip(sentences, token_groups, number_groups):
-        texts = [intern(text[t.start:t.end]) for t in toks]
-        views.append(
-            SentenceView(
-                sentence=sentence,
-                tokens=toks,
-                texts=texts,
-                lowers=[intern(s.lower()) for s in texts],
-                tags=[t.features.get("pos", "") for t in toks],
-                numbers=nums,
-                token_index_by_start={
-                    t.start: i for i, t in enumerate(toks)
-                },
-            )
+    return [
+        sentence_view(
+            sentence,
+            toks,
+            [intern(text[t.start:t.end]) for t in toks],
+            [t.features.get("pos", "") for t in toks],
+            nums,
         )
-    return views
+        for sentence, toks, nums in zip(
+            sentences,
+            align_tokens(document.tokens(), spans),
+            align_tokens(document.numbers(), spans),
+        )
+    ]
 
 
 def align_tokens(
@@ -291,11 +328,11 @@ def align_tokens(
 ) -> list[list[Annotation]]:
     """Group *tokens* by the (sorted, disjoint) *spans* that contain them.
 
-    Tokens falling outside every span are dropped.  Used by components
-    that need per-sentence token lists.
+    Tokens falling outside every span, or straddling two, are dropped.
+    Used to build per-sentence token and number lists.
     """
     groups: list[list[Annotation]] = []
-    toks = sorted(tokens)
+    toks = sorted(tokens, key=_ORDER)
     i = 0
     for start, end in spans:
         group: list[Annotation] = []

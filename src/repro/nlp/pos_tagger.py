@@ -87,6 +87,11 @@ _SUFFIX_TAGS: list[tuple[str, str]] = [
 
 _HAVE_FORMS = {"have", "has", "had", "having"}
 _BE_FORMS = {"be", "is", "am", "are", "was", "were", "been", "being"}
+_HAVE_OR_BE_FORMS = _HAVE_FORMS | _BE_FORMS
+
+#: Entries the per-tagger memo of layer 1 + 2 tags holds before it is
+#: cleared (a clinical vocabulary needs a few thousand).
+_TAG_MEMO_MAX = 65536
 
 
 def _strip_inflection(word: str) -> list[str]:
@@ -116,6 +121,11 @@ def _strip_inflection(word: str) -> list[str]:
 class PosTagger:
     """Assigns a ``pos`` feature to every Token annotation."""
 
+    def __init__(self) -> None:
+        # (word, kind) -> lexicon/morphology tag: layers 1 and 2 read
+        # only module tables, so each surface is resolved once.
+        self._initial_tags: dict[tuple[str, TokenKind | None], str] = {}
+
     def annotate(self, document: Document) -> None:
         with profiling.stage("pos"):
             for sentence in document.sentences() or [None]:
@@ -136,9 +146,16 @@ class PosTagger:
     ) -> list[str]:
         """Tag a sentence given as a list of token strings."""
         kinds = kinds or [None] * len(words)
-        tags = [
-            self._initial_tag(w, k) for w, k in zip(words, kinds)
-        ]
+        memo = self._initial_tags
+        tags: list[str] = []
+        for key in zip(words, kinds):
+            tag = memo.get(key)
+            if tag is None:
+                tag = self._initial_tag(*key)
+                if len(memo) >= _TAG_MEMO_MAX:
+                    memo.clear()
+                memo[key] = tag
+            tags.append(tag)
         return self._apply_context_rules(words, tags)
 
     # Layer 1 + 2: lexicon and morphology -------------------------------
@@ -213,7 +230,7 @@ class PosTagger:
 
             # VBD after a have-form (adverbs allowed in between) is a
             # past participle; after a be-form it is passive.
-            if tag == "VBD" and verb_context(i) in _HAVE_FORMS | _BE_FORMS:
+            if tag == "VBD" and verb_context(i) in _HAVE_OR_BE_FORMS:
                 tags[i] = "VBN"
             # -ing noun right after a be-form is progressive.
             elif (

@@ -3,29 +3,32 @@
 The staged pipeline walks the token list four times (tokenize → split →
 tag → numbers) and re-derives token surfaces from character spans at
 every stage.  :class:`FusedScanner` performs the same work in one
-traversal: it tokenizes once, keeps the surfaces/kinds/spans in flat
+traversal: one regex sweep yields the surfaces/kinds/spans as flat
 parallel lists (surfaces interned, so repeated clinical vocabulary
-shares storage across records), derives sentence boundaries and number
-spans from those lists, and tags each sentence group directly.
+shares storage across records), sentence boundaries and number spans
+are derived from those lists, each sentence group is tagged directly,
+and the annotations are stored in bulk.  From the same lists the
+scanner builds every sentence's view (texts, lowercased texts, tags,
+numbers, start index) and installs them on the document, so the
+extractors never rebuild them from the annotations.
 
 Parity is by construction, not by reimplementation: the scanner calls
 the exact same building blocks as the staged components —
-:meth:`Tokenizer.tokenize_text`, :func:`sentence_boundaries`,
-:meth:`PosTagger.tag`, and :func:`collect_number_features` — and adds
+:func:`scan_tokens` (behind :meth:`Tokenizer.tokenize_text`),
+:func:`sentence_boundaries`, :meth:`PosTagger.tag`,
+:func:`collect_number_features` and :func:`sentence_view` — and adds
 annotations in the same type order (Tokens, Sentences, Numbers), so the
-resulting documents are annotation-for-annotation identical to the
-staged pipeline's.  ``tests/nlp/test_scanner_parity.py`` holds the gate.
+resulting documents and their views are identical to the staged
+pipeline's.  ``tests/nlp/test_scanner_parity.py`` holds the gate.
 """
 
 from __future__ import annotations
 
-import sys
-
-from repro.nlp.document import Document
+from repro.nlp.document import Document, align_tokens, sentence_view
 from repro.nlp.numbers import collect_number_features
 from repro.nlp.pos_tagger import PosTagger
 from repro.nlp.sentence_splitter import sentence_boundaries
-from repro.nlp.tokenizer import Tokenizer
+from repro.nlp.tokenizer import scan_tokens
 from repro import profiling
 
 
@@ -33,50 +36,57 @@ class FusedScanner:
     """Tokens + sentences + POS + numbers in a single traversal."""
 
     def __init__(self, split_on_newline: bool = True) -> None:
-        self.tokenizer = Tokenizer()
         self.tagger = PosTagger()
         self.split_on_newline = split_on_newline
 
     def annotate(self, document: Document) -> None:
-        intern = sys.intern
         with profiling.stage("tokenize"):
-            raw = self.tokenizer.tokenize_text(document.text)
-            texts = [intern(t.text) for t in raw]
-            kinds = [t.kind for t in raw]
-            spans = [(t.start, t.end) for t in raw]
-
-        annotations = document.annotations
-        token_anns = [
-            annotations.add("Token", start, end, {"kind": kind})
-            for (start, end), kind in zip(spans, kinds)
-        ]
-        if not token_anns:
+            texts, kinds, spans = scan_tokens(document.text)
+        if not texts:
             return
 
         with profiling.stage("sentence"):
             bounds = sentence_boundaries(
                 document.text, spans, texts, self.split_on_newline
             )
-            for start, end in bounds:
-                annotations.add("Sentence", start, end)
 
         with profiling.stage("pos"):
-            # Tokens appear in order and sentences tile them, so one
-            # pointer walk replaces the staged tagger's per-sentence
-            # containment scans.
+            # Sentences tile the tokens in order, so one pointer walk
+            # finds each sentence's token range.
+            ranges: list[tuple[int, int]] = []
+            tags: list[str] = []
             i = 0
-            n = len(token_anns)
+            n = len(texts)
             for _, end in bounds:
                 j = i
                 while j < n and spans[j][1] <= end:
                     j += 1
-                tags = self.tagger.tag(texts[i:j], kinds[i:j])
-                for tok, tag in zip(token_anns[i:j], tags):
-                    tok.features["pos"] = tag
+                ranges.append((i, j))
+                tags += self.tagger.tag(texts[i:j], kinds[i:j])
                 i = j
 
+        annotations = document.annotations
+        tokens = annotations.extend(
+            "Token",
+            [
+                (start, end, {"kind": kind, "pos": tag})
+                for (start, end), kind, tag in zip(spans, kinds, tags)
+            ],
+        )
+        sentences = annotations.extend(
+            "Sentence", [(start, end, {}) for start, end in bounds]
+        )
+
         with profiling.stage("number"):
-            for start, end, features in collect_number_features(
-                texts, kinds, spans
-            ):
-                annotations.add("Number", start, end, features)
+            numbers = annotations.extend(
+                "Number", collect_number_features(texts, kinds, spans)
+            )
+
+        document._sentence_views = [
+            sentence_view(
+                sentence, tokens[i:j], texts[i:j], tags[i:j], in_sentence
+            )
+            for sentence, (i, j), in_sentence in zip(
+                sentences, ranges, align_tokens(numbers, bounds)
+            )
+        ]

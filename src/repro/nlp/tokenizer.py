@@ -9,8 +9,8 @@ Clinical dictation has token shapes a newswire tokenizer mishandles:
 * clinical abbreviations with internal periods — ``q.d.``, ``p.r.n.``;
 * hyphenated compounds — ``50-year-old``, ``S1 S2``.
 
-The tokenizer is a single compiled alternation applied left to right;
-the first branch that matches at the cursor wins, so branch order
+The tokenizer is a single compiled alternation swept left to right;
+the first branch that matches at a position wins, so branch order
 encodes priority.  Every non-space character lands in exactly one token
 (unknown characters become ``SYMBOL`` tokens) which keeps downstream
 span arithmetic total.
@@ -19,9 +19,9 @@ span arithmetic total.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
-from repro.errors import TokenizationError
 from repro.nlp.document import Document, TokenKind
 from repro import profiling
 
@@ -53,6 +53,27 @@ _GROUP_KINDS = {
 }
 
 
+def scan_tokens(
+    text: str,
+) -> tuple[list[str], list[TokenKind], list[tuple[int, int]]]:
+    """Interned surfaces, kinds and spans of the tokens of *text*.
+
+    One ``finditer`` sweep: no branch of the alternation matches
+    whitespace and ``SYMBOL`` matches every other character, so the
+    sweep skips exactly the whitespace and yields every token.
+    """
+    intern = sys.intern
+    group_kinds = _GROUP_KINDS
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
+    spans: list[tuple[int, int]] = []
+    for match in _TOKEN_RE.finditer(text):
+        texts.append(intern(match.group()))
+        kinds.append(group_kinds[match.lastgroup])
+        spans.append(match.span())
+    return texts, kinds, spans
+
+
 @dataclass(frozen=True)
 class RawToken:
     """A token before it is attached to a document."""
@@ -71,29 +92,11 @@ class Tokenizer:
 
         The result covers every non-whitespace character exactly once.
         """
-        tokens: list[RawToken] = []
-        pos = 0
-        length = len(text)
-        while pos < length:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            match = _TOKEN_RE.match(text, pos)
-            if match is None:  # pragma: no cover - SYMBOL matches any \S
-                raise TokenizationError(
-                    f"untokenizable input at offset {pos}: {text[pos:pos+20]!r}"
-                )
-            kind = _GROUP_KINDS[match.lastgroup or "SYMBOL"]
-            tokens.append(
-                RawToken(
-                    text=match.group(),
-                    start=match.start(),
-                    end=match.end(),
-                    kind=kind,
-                )
-            )
-            pos = match.end()
-        return tokens
+        texts, kinds, spans = scan_tokens(text)
+        return [
+            RawToken(text=surface, start=start, end=end, kind=kind)
+            for surface, kind, (start, end) in zip(texts, kinds, spans)
+        ]
 
     def annotate(self, document: Document) -> None:
         """Add ``Token`` annotations to *document*."""

@@ -88,6 +88,10 @@ _SUFFIX_TAGS: list[tuple[str, str]] = [
 _HAVE_FORMS = {"have", "has", "had", "having"}
 _BE_FORMS = {"be", "is", "am", "are", "was", "were", "been", "being"}
 _HAVE_OR_BE_FORMS = _HAVE_FORMS | _BE_FORMS
+# A context rule can fire only on a token with one of these tags or
+# words; every other token keeps its initial tag.
+_CONTEXT_TAGS = frozenset({"VBD", "NN", "VB", "VBP", "VBG"})
+_CONTEXT_WORDS = frozenset({"her", "that", "no"})
 
 #: Entries the per-tagger memo of layer 1 + 2 tags holds before it is
 #: cleared (a clinical vocabulary needs a few thousand).
@@ -147,16 +151,20 @@ class PosTagger:
         """Tag a sentence given as a list of token strings."""
         kinds = kinds or [None] * len(words)
         memo = self._initial_tags
-        tags: list[str] = []
-        for key in zip(words, kinds):
-            tag = memo.get(key)
-            if tag is None:
-                tag = self._initial_tag(*key)
-                if len(memo) >= _TAG_MEMO_MAX:
-                    memo.clear()
-                memo[key] = tag
-            tags.append(tag)
+        tags = [
+            memo.get(key) or self._memoize_initial_tag(key)
+            for key in zip(words, kinds)
+        ]
         return self._apply_context_rules(words, tags)
+
+    def _memoize_initial_tag(
+        self, key: tuple[str, TokenKind | None]
+    ) -> str:
+        memo = self._initial_tags
+        if len(memo) >= _TAG_MEMO_MAX:
+            memo.clear()
+        tag = memo[key] = self._initial_tag(*key)
+        return tag
 
     # Layer 1 + 2: lexicon and morphology -------------------------------
 
@@ -224,8 +232,9 @@ class PosTagger:
             return lowers[j] if j >= 0 else ""
 
         for i, (word, tag) in enumerate(zip(lowers, tags)):
+            if tag not in _CONTEXT_TAGS and word not in _CONTEXT_WORDS:
+                continue
             prev = tags[i - 1] if i > 0 else "<s>"
-            prev_word = lowers[i - 1] if i > 0 else ""
             nxt = tags[i + 1] if i + 1 < len(tags) else "</s>"
 
             # VBD after a have-form (adverbs allowed in between) is a

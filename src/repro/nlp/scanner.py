@@ -24,6 +24,8 @@ pipeline's.  ``tests/nlp/test_scanner_parity.py`` holds the gate.
 
 from __future__ import annotations
 
+import bisect
+
 from repro.nlp.document import Document, align_tokens, sentence_view
 from repro.nlp.numbers import collect_number_features
 from repro.nlp.pos_tagger import PosTagger
@@ -51,16 +53,15 @@ class FusedScanner:
             )
 
         with profiling.stage("pos"):
-            # Sentences tile the tokens in order, so one pointer walk
-            # finds each sentence's token range.
+            # Sentences tile the tokens in order and end where a token
+            # ends, so bisecting the token ends finds each sentence's
+            # token range.
+            ends = [end for _, end in spans]
             ranges: list[tuple[int, int]] = []
             tags: list[str] = []
             i = 0
-            n = len(texts)
             for _, end in bounds:
-                j = i
-                while j < n and spans[j][1] <= end:
-                    j += 1
+                j = bisect.bisect_right(ends, end, i)
                 ranges.append((i, j))
                 tags += self.tagger.tag(texts[i:j], kinds[i:j])
                 i = j

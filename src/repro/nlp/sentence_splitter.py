@@ -44,37 +44,23 @@ def sentence_boundaries(
         return out
     sent_start = spans[0][0]
     last = len(spans) - 1
-    for i, (start, end) in enumerate(spans):
-        if _breaks_after(text, spans, texts, i, split_on_newline):
-            out.append((sent_start, end))
-            if i < last:
-                sent_start = spans[i + 1][0]
-    if not out or out[-1][1] < spans[last][1]:
-        out.append((sent_start, spans[last][1]))
-    return out
-
-
-def _breaks_after(
-    text: str,
-    spans: list[tuple[int, int]],
-    texts: list[str],
-    i: int,
-    split_on_newline: bool,
-) -> bool:
-    tok_text = texts[i]
-    if i + 1 >= len(spans):
-        return True
-    if tok_text in _TERMINALS:
-        if tok_text == "." and _is_abbreviation_period(
-            text, spans, texts, i
+    for i in range(last):
+        tok_text = texts[i]
+        if tok_text in _TERMINALS:
+            if tok_text == "." and _is_abbreviation_period(
+                text, spans, texts, i
+            ):
+                continue
+        elif not (
+            split_on_newline
+            and "\n" in text[spans[i][1]:spans[i + 1][0]]
         ):
-            return False
-        return True
-    if split_on_newline:
-        gap = text[spans[i][1]:spans[i + 1][0]]
-        if "\n" in gap:
-            return True
-    return False
+            continue
+        out.append((sent_start, spans[i][1]))
+        sent_start = spans[i + 1][0]
+    # The last token always ends a sentence.
+    out.append((sent_start, spans[last][1]))
+    return out
 
 
 def _is_abbreviation_period(

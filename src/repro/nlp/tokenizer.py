@@ -63,15 +63,12 @@ def scan_tokens(
     sweep skips exactly the whitespace and yields every token.
     """
     intern = sys.intern
-    group_kinds = _GROUP_KINDS
-    texts: list[str] = []
-    kinds: list[TokenKind] = []
-    spans: list[tuple[int, int]] = []
-    for match in _TOKEN_RE.finditer(text):
-        texts.append(intern(match.group()))
-        kinds.append(group_kinds[match.lastgroup])
-        spans.append(match.span())
-    return texts, kinds, spans
+    matches = list(_TOKEN_RE.finditer(text))
+    return (
+        [intern(match.group()) for match in matches],
+        [_GROUP_KINDS[match.lastgroup] for match in matches],
+        [match.span() for match in matches],
+    )
 
 
 @dataclass(frozen=True)

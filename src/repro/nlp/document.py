@@ -135,10 +135,10 @@ class AnnotationSet:
         its row's features dict without copying it.  Returns the new
         annotations in row order.
         """
-        ids = self._ids
+        # rows first: zip stops on them without drawing an unused id.
         added = [
-            Annotation(next(ids), type, start, end, features)
-            for start, end, features in rows
+            Annotation(id, type, start, end, features)
+            for (start, end, features), id in zip(rows, self._ids)
         ]
         if not added:
             return added

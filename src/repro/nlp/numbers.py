@@ -28,6 +28,21 @@ _TENS = {
 _SCALES = {"hundred": 100, "thousand": 1000, "million": 1_000_000}
 
 
+#: Every single word :func:`parse_number_word` reads, with its value:
+#: units, tens, scales, and hyphenated tens-unit compounds.
+_WORD_VALUES: dict[str, float] = {
+    **{word: float(value) for word, value in _UNITS.items()},
+    **{word: float(value) for word, value in _TENS.items()},
+    **{word: float(value) for word, value in _SCALES.items()},
+    **{
+        f"{tens}-{unit}": float(tens_value + unit_value)
+        for tens, tens_value in _TENS.items()
+        for unit, unit_value in _UNITS.items()
+        if unit_value < 10
+    },
+}
+
+
 def parse_number_word(word: str) -> float | None:
     """Parse a single number word or hyphenated compound.
 
@@ -36,18 +51,7 @@ def parse_number_word(word: str) -> float | None:
     >>> parse_number_word("twenty-five")
     25.0
     """
-    lower = word.lower()
-    if lower in _UNITS:
-        return float(_UNITS[lower])
-    if lower in _TENS:
-        return float(_TENS[lower])
-    if lower in _SCALES:
-        return float(_SCALES[lower])
-    if "-" in lower:
-        tens, _, unit = lower.partition("-")
-        if tens in _TENS and unit in _UNITS and _UNITS[unit] < 10:
-            return float(_TENS[tens] + _UNITS[unit])
-    return None
+    return _WORD_VALUES.get(word.lower())
 
 
 def parse_word_sequence(words: list[str]) -> float | None:
@@ -109,10 +113,10 @@ def collect_number_features(
                 )
             )
             i += 1
-        elif parse_number_word(text) is not None:
+        elif text.lower() in _WORD_VALUES:
             j = i
             words = []
-            while j < n and parse_number_word(texts[j]) is not None:
+            while j < n and texts[j].lower() in _WORD_VALUES:
                 words.append(texts[j])
                 j += 1
             value = parse_word_sequence(words)

@@ -98,6 +98,21 @@ class TestAnnotationSet:
             (0, 3), (4, 8), (10, 12),
         ]
 
+    def test_extend_takes_over_features_and_keeps_order(self):
+        s = AnnotationSet()
+        s.add("Token", 10, 12)
+        features = {"kind": "word"}
+        added = s.extend(
+            "Token", [(0, 2, features), (4, 6, {}), (20, 22, {})]
+        )
+        assert added[0].features is features
+        assert [a.id for a in added] == [2, 3, 4]
+        assert [a.span for a in s.of_type("Token")] == [
+            (0, 2), (4, 6), (10, 12), (20, 22),
+        ]
+        assert s.extend("Token", []) == []
+        assert s.add("Token", 30, 31).id == 5
+
     def test_iteration_is_document_order(self):
         s = AnnotationSet()
         s.add("B", 5, 6)

@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.nlp.document import Document, TokenKind
-from repro.nlp.tokenizer import Tokenizer, tokenize
+from repro.nlp.tokenizer import (
+    _GROUP_KINDS,
+    _TOKEN_RE,
+    Tokenizer,
+    scan_tokens,
+    tokenize,
+)
 
 
 @pytest.fixture
@@ -105,6 +111,22 @@ class TestSpanIntegrity:
             covered.update(range(tok.start, tok.end))
         expected = {i for i, c in enumerate(text) if not c.isspace()}
         assert covered == expected
+
+    @given(st.text(max_size=300))
+    def test_sweep_equals_cursor_walk(self, text):
+        # The reference: skip whitespace one character at a time and
+        # match the alternation at each non-space cursor position.
+        expected = []
+        pos = 0
+        while pos < len(text):
+            if text[pos].isspace():
+                pos += 1
+                continue
+            match = _TOKEN_RE.match(text, pos)
+            kind = _GROUP_KINDS[match.lastgroup]
+            expected.append((match.group(), kind, match.span()))
+            pos = match.end()
+        assert list(zip(*scan_tokens(text))) == expected
 
     @given(
         st.text(

@@ -13,7 +13,6 @@ import pytest
 
 from repro.extraction import RecordExtractor
 from repro.runtime import (
-    CorpusRunner,
     FaultPlan,
     ResilientCorpusRunner,
     RetryPolicy,
@@ -81,9 +80,7 @@ class TestInterruptResume:
         results = resumed.run(cohort)
         assert resumed.stats()["resumed_chunks"] >= 1
 
-        baseline = CorpusRunner(
-            RecordExtractor(), chunk_size=2
-        ).run(cohort)
+        baseline = RecordExtractor().extract_all(cohort)
         assert results == baseline
 
         a = _store(tmp_path / "resumed.db", results)
@@ -138,9 +135,7 @@ class TestQuarantineEqualsSkip:
         ]
 
         skipped = [r for r in cohort if r.patient_id != poison_id]
-        skip_results = CorpusRunner(
-            RecordExtractor(), chunk_size=2
-        ).run(skipped)
+        skip_results = RecordExtractor().extract_all(skipped)
 
         quarantined_store = ResultStore(tmp_path / f"{stage}-q.db")
         quarantined_store.store_many(results)
@@ -167,7 +162,7 @@ class TestHostileCorpusEndToEnd:
         results = resilient.run(hostile_corpus)
         assert resilient.quarantine == []
 
-        plain = CorpusRunner(RecordExtractor()).run(hostile_corpus)
+        plain = RecordExtractor().extract_all(hostile_corpus)
         a = _store(tmp_path / "resilient.db", results)
         b = _store(tmp_path / "plain.db", plain)
         assert a.read_bytes() == b.read_bytes()

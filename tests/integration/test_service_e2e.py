@@ -23,7 +23,6 @@ import pytest
 from repro.client import ServiceClient
 from repro.extraction import RecordExtractor
 from repro.runtime import (
-    CorpusRunner,
     FaultPlan,
     ResilientCorpusRunner,
     RetryPolicy,
@@ -48,7 +47,7 @@ def cohort():
 
 @pytest.fixture(scope="module")
 def baseline(cohort):
-    return CorpusRunner(RecordExtractor()).run(cohort)
+    return RecordExtractor().extract_all(cohort)
 
 
 def _store(path, results, quarantine=()):
@@ -101,7 +100,7 @@ class TestServiceEqualsBatch:
         finally:
             service.stop(timeout=30)
         assert quarantined == []
-        plain = CorpusRunner(RecordExtractor()).run(hostile_corpus)
+        plain = RecordExtractor().extract_all(hostile_corpus)
         a = _store(tmp_path / "service.db", results)
         b = _store(tmp_path / "plain.db", plain)
         assert a.read_bytes() == b.read_bytes()
@@ -123,9 +122,7 @@ class TestServiceEqualsBatch:
         finally:
             service.stop(timeout=30)
         assert quarantined == []
-        plain = CorpusRunner(RecordExtractor()).run(
-            adversarial_corpus
-        )
+        plain = RecordExtractor().extract_all(adversarial_corpus)
         a = _store(tmp_path / "service.db", results)
         b = _store(tmp_path / "plain.db", plain)
         assert a.read_bytes() == b.read_bytes()
@@ -246,7 +243,7 @@ class TestShardedStoreEqualsBatch:
         hostile the dictation surface is."""
         batch_db = _store(
             tmp_path / "batch.db",
-            CorpusRunner(RecordExtractor()).run(adversarial_corpus),
+            RecordExtractor().extract_all(adversarial_corpus),
         )
         for shards in (1, 2):
             service_db = tmp_path / f"shards{shards}.db"
@@ -322,7 +319,7 @@ class TestShardedStoreEqualsBatch:
 
         batch_db = _store(
             tmp_path / "batch.db",
-            CorpusRunner(RecordExtractor()).run(cohort),
+            RecordExtractor().extract_all(cohort),
         )
         shared = ResultStore(fleet_db)
         assert (

@@ -64,7 +64,7 @@ def test_cached_equals_cold_extraction(seed, level):
 def test_runner_parallel_equals_serial(seed):
     """(c) Fan-out changes throughput, not output."""
     records, _ = _cohort(seed, 0.0)
-    serial = CorpusRunner(RecordExtractor(), workers=1).run(records)
+    serial = RecordExtractor().extract_all(records)
     parallel = CorpusRunner(
         RecordExtractor(), workers=2, chunk_size=1
     ).run(records)

@@ -53,7 +53,7 @@ def cohort():
 
 @pytest.fixture(scope="module")
 def baseline(cohort):
-    return CorpusRunner(RecordExtractor()).run(cohort)
+    return RecordExtractor().extract_all(cohort)
 
 
 def _warm_stack(path=None):
@@ -297,9 +297,7 @@ class TestCorpusParity:
         self, workers, hostile_corpus, tmp_path
     ):
         path = tmp_path / "hostile.parsecache"
-        baseline = CorpusRunner(RecordExtractor()).run(
-            hostile_corpus
-        )
+        baseline = RecordExtractor().extract_all(hostile_corpus)
         cold_cache = self._fresh_cache(path)
         _, cold = self._run(
             hostile_corpus, workers=workers, parse_cache=cold_cache

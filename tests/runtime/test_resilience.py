@@ -13,7 +13,6 @@ import pytest
 from repro.errors import ResilienceError
 from repro.extraction import RecordExtractor
 from repro.runtime import (
-    CorpusRunner,
     FaultPlan,
     Journal,
     QuarantineEntry,
@@ -44,7 +43,7 @@ def cohort():
 
 @pytest.fixture(scope="module")
 def baseline(cohort):
-    return CorpusRunner(RecordExtractor()).run(cohort)
+    return RecordExtractor().extract_all(cohort)
 
 
 def _runner(workers, plan, **kwargs):
@@ -202,9 +201,7 @@ class TestJournaling:
             r.patient_id for r in hostile_corpus
         ]
         assert runner.quarantine == []
-        assert results == CorpusRunner(RecordExtractor()).run(
-            hostile_corpus
-        )
+        assert results == RecordExtractor().extract_all(hostile_corpus)
 
     def test_adversarial_corpus_is_not_quarantined(
         self, adversarial_corpus
@@ -221,18 +218,14 @@ class TestJournaling:
             r.patient_id for r in adversarial_corpus
         ]
         assert runner.quarantine == []
-        assert results == CorpusRunner(RecordExtractor()).run(
-            adversarial_corpus
-        )
+        assert results == RecordExtractor().extract_all(adversarial_corpus)
 
     def test_adversarial_corpus_survives_fault_injection(
         self, adversarial_corpus
     ):
         # A transient worker kill mid-run over the adversarial corpus
         # must recover with output identical to the clean run.
-        baseline = CorpusRunner(RecordExtractor()).run(
-            adversarial_corpus
-        )
+        baseline = RecordExtractor().extract_all(adversarial_corpus)
         runner = _runner(1, FaultPlan.parse("corrupt@mid"))
         assert runner.run(adversarial_corpus) == baseline
         assert runner.quarantine == []

@@ -9,23 +9,26 @@ The batch engine behind ``repro extract --workers N``:
 * :mod:`repro.runtime.compiled` — ahead-of-time compiled artifacts
   (expanded grammar + connector match table, in-memory ontology
   index) that warm-start the whole stack from one pickle load;
-* :mod:`repro.runtime.runner` — the :class:`CorpusRunner` that fans
-  record chunks out over a process pool with per-worker extraction
-  stacks, keeping ``workers=1`` as the deterministic serial default;
+* :mod:`repro.runtime.resilience` — the one corpus runner,
+  :class:`CorpusRunner` (also named ``ResilientCorpusRunner``): serial
+  by default, prime-then-fan-out over a process pool with
+  ``workers>1``, with retry and backoff, chunk bisection,
+  poison-record quarantine, worker-pool recovery, and journal-based
+  checkpoint/resume;
+* :mod:`repro.runtime.runner` — the runner's worker-process side: the
+  pool initializer that builds one extraction stack per worker, the
+  chunk function, and the hand-off of the parent's warm stack to
+  forked children;
 * :mod:`repro.runtime.tracing` — hierarchical span tracing and run
   manifests (zero-cost no-op when disabled), the engine's
   observability layer;
-* :mod:`repro.runtime.resilience` — the fault-tolerant
-  :class:`ResilientCorpusRunner`: retry with backoff, chunk bisection,
-  poison-record quarantine, worker-pool recovery, and journal-based
-  checkpoint/resume;
 * :mod:`repro.runtime.faults` — deterministic, seed-reproducible
   fault injection (``--inject-faults``) that proves the resilience
   layer works;
 * :mod:`repro.runtime.service` — the resident extraction daemon
   behind ``repro serve``: a JSON-lines socket protocol, a bounded
   queue with shed-load backpressure, a micro-batcher dispatching
-  through the resilient runner, per-request deadlines, and graceful
+  through the corpus runner, per-request deadlines, and graceful
   drain.
 
 Import order note: :mod:`repro.runtime.tracing` must stay dependency-
@@ -52,13 +55,13 @@ from repro.runtime.compiled import (
 from repro.runtime.faults import Fault, FaultPlan
 from repro.runtime.metrics import Metrics, diff_stats, merge_stats
 from repro.runtime.resilience import (
+    CorpusRunner,
     Journal,
     QuarantineEntry,
     ResilientCorpusRunner,
     RetryPolicy,
     corpus_digest,
 )
-from repro.runtime.runner import CorpusRunner
 from repro.runtime.service import ExtractionService, ServiceConfig
 from repro.runtime.tracing import (
     NULL_TRACER,

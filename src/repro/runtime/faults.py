@@ -110,8 +110,8 @@ class InjectedInterrupt(BaseException):
         super().__init__(f"injected interrupt at record {index}")
 
 
-#: Set by the resilient pool initializer so ``kill`` faults know they
-#: may really terminate the current process.
+#: Set by the pool initializer so ``kill`` faults know they may
+#: really terminate the current process.
 _IN_WORKER = False
 
 

@@ -1,6 +1,11 @@
-"""Fault-tolerant corpus execution: retry, bisect, quarantine, resume.
+"""The corpus runner: fault-tolerant extraction of a whole cohort.
 
-:class:`ResilientCorpusRunner` wraps the corpus engine so a hostile
+:class:`CorpusRunner` runs every corpus — ``repro extract``, every
+``repro serve`` shard, the benchmarks.  ``ResilientCorpusRunner`` is
+the same class under a second name.  ``workers=1`` (the default)
+extracts in-process; ``workers>1`` runs the first chunk in-process to
+prime the parse cache, then fans the rest out over a process pool
+whose worker side lives in :mod:`repro.runtime.runner`.  A hostile
 corpus cannot take down a run:
 
 * **Retry with backoff** — a failed chunk is re-executed up to
@@ -41,7 +46,7 @@ import pickle
 import time
 import traceback as traceback_module
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -51,11 +56,17 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro import profiling
 from repro.errors import ResilienceError
 from repro.records.model import PatientRecord
-from repro.runtime import runner as _runner
 from repro.runtime import tracing
-from repro.runtime.faults import FaultPlan, mark_worker
-from repro.runtime.metrics import diff_stats, merge_stats
-from repro.runtime.runner import CorpusRunner, _serialize_models
+from repro.runtime.faults import FaultPlan
+from repro.runtime.metrics import Metrics, diff_stats, merge_stats
+from repro.runtime.runner import (
+    _extract_chunk,
+    _extract_records,
+    _init_worker,
+    _reset_caches,
+    _serialize_models,
+    published,
+)
 from repro.runtime.tracing import Span, Tracer
 
 if TYPE_CHECKING:
@@ -63,6 +74,8 @@ if TYPE_CHECKING:
         ExtractionResult,
         RecordExtractor,
     )
+    from repro.runtime.compiled import CompiledArtifact
+    from repro.runtime.parsecache import PersistentParseCache
 
 
 # ------------------------------------------------------------- policy
@@ -308,7 +321,7 @@ class Journal:
         return header, chunks, quarantined
 
 
-# ----------------------------------------------------- chunk executor
+# ------------------------------------------------------------- runner
 
 @dataclass(frozen=True)
 class _ChunkTask:
@@ -319,113 +332,16 @@ class _ChunkTask:
     attempt: int = 0
 
 
-def _extract_records(
-    extractor: "RecordExtractor",
-    records: Sequence[PatientRecord],
-    start: int,
-    attempt: int,
-    plan: FaultPlan | None,
-    index_map: Sequence[int] | None = None,
-) -> "list[ExtractionResult]":
-    """The innermost loop: fire scheduled faults, extract each record.
+class CorpusRunner:
+    """Batch extraction engine that survives a hostile corpus.
 
-    ``index_map`` translates run-local record positions to an outer
-    index space (the extraction service's global accept sequence), so
-    fault matching and injected-error messages speak global indices —
-    identical to a batch run over the same stream.
-    """
-    results = []
-    for offset, record in enumerate(records):
-        if plan is not None:
-            position = start + offset
-            plan.fire(
-                index_map[position]
-                if index_map is not None
-                else position,
-                attempt,
-                extractor=extractor,
-            )
-        results.append(extractor.extract(record))
-    return results
-
-
-def _reset_caches(extractor: "RecordExtractor") -> None:
-    """Evict possibly-corrupt cache state after a chunk failure."""
-    caches = getattr(extractor, "caches", None)
-    if caches is not None:
-        caches.clear()
-
-
-def _init_resilient_worker(
-    models: dict[str, dict] | None,
-    parse_budget: float | None = None,
-    artifact_path: str | None = None,
-    document_cache_size: int | None = None,
-    parse_cache_path: str | None = None,
-    profile_stages: bool = False,
-) -> None:
-    """Pool initializer: normal worker setup plus the worker flag
-    that lets ``kill`` faults really terminate the process."""
-    _runner._init_worker(
-        models,
-        parse_budget,
-        artifact_path,
-        document_cache_size,
-        parse_cache_path,
-        profile_stages,
-    )
-    mark_worker()
-
-
-def _extract_chunk_guarded(
-    payload: tuple[
-        int, tuple[PatientRecord, ...], bool, int, FaultPlan | None
-    ],
-) -> tuple[
-    int,
-    "list[ExtractionResult]",
-    dict[str, Any],
-    list[dict],
-    dict[tuple, tuple],
-]:
-    """Worker-side chunk execution with cache reset on failure."""
-    start, records, trace, attempt, plan = payload
-    extractor = _runner._WORKER_EXTRACTOR
-    assert extractor is not None, "pool initializer did not run"
-    before = extractor.counters()
-    spans: list[dict] = []
-    try:
-        if trace:
-            tracer = Tracer()
-            with tracing.activated(tracer):
-                results = _extract_records(
-                    extractor, records, start, attempt, plan
-                )
-            spans = [root.to_dict() for root in tracer.roots]
-        else:
-            results = _extract_records(
-                extractor, records, start, attempt, plan
-            )
-    except Exception:
-        _reset_caches(extractor)
-        raise
-    delta = diff_stats(extractor.counters(), before)
-    delta = _runner._attach_init_report(delta)
-    parse_delta: dict[tuple, tuple] = {}
-    caches = getattr(extractor, "caches", None)
-    if caches is not None and caches.linkages.persistent is not None:
-        parse_delta = caches.linkages.persistent.drain_delta()
-    return start, results, delta, spans, parse_delta
-
-
-# ------------------------------------------------------------- runner
-
-class ResilientCorpusRunner(CorpusRunner):
-    """A :class:`CorpusRunner` that survives a hostile corpus.
-
-    With no journal, no fault plan, and a healthy corpus this runner
-    produces output identical to the plain engine — resilience only
-    changes what happens when something goes wrong.
+    ``workers=1`` (the default) runs in-process and stays the
+    deterministic reference path; ``workers>1`` runs the first chunk
+    here, then fans the rest out over a process pool (see
+    :mod:`repro.runtime.runner`).  Results come back in input order,
+    byte-identical to ``RecordExtractor.extract_all`` minus any
+    quarantined records — resilience only changes what happens when
+    something goes wrong.
     """
 
     def __init__(
@@ -439,28 +355,80 @@ class ResilientCorpusRunner(CorpusRunner):
         fault_plan: FaultPlan | None = None,
         resume: bool = False,
         run_id: str = "",
-        artifact: "Any | str | Path | None" = None,
+        artifact: "CompiledArtifact | str | Path | None" = None,
         document_cache_size: int | None = None,
-        parse_cache: "Any | None" = None,
+        parse_cache: "PersistentParseCache | None" = None,
         profile_stages: bool = False,
     ) -> None:
-        super().__init__(
-            extractor,
-            workers=workers,
-            chunk_size=chunk_size,
-            tracer=tracer,
-            artifact=artifact,
-            document_cache_size=document_cache_size,
-            parse_cache=parse_cache,
-            profile_stages=profile_stages,
+        from repro.extraction.pipeline import RecordExtractor
+
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError(
+                f"chunk_size must be >= 1, got {chunk_size}"
+            )
+        if document_cache_size is not None and document_cache_size < 1:
+            raise ValueError(
+                "document_cache_size must be >= 1, got "
+                f"{document_cache_size}"
+            )
+        self.metrics = Metrics()
+        #: Compiled warm-start bundle: when set, it both builds the
+        #: default extractor and is shared with pool workers (via
+        #: fork inheritance, with a load-from-path fallback).
+        self.artifact: "CompiledArtifact | None" = None
+        self._artifact_path: str | None = None
+        if artifact is not None:
+            self.artifact, self._artifact_path = self._load_artifact(
+                artifact
+            )
+        self.document_cache_size = document_cache_size
+        if extractor is None:
+            if self.artifact is not None:
+                extractor = self.artifact.make_extractor(
+                    document_cache_size=document_cache_size
+                )
+            else:
+                extractor = RecordExtractor()
+        if document_cache_size is not None:
+            caches = getattr(extractor, "caches", None)
+            if caches is not None:
+                caches.documents.resize(document_cache_size)
+        #: Persistent cross-run parse cache: attached to the serial
+        #: extractor's linkage cache here, published to pool workers
+        #: copy-on-write, and fed every worker's delta at reassembly.
+        #: The caller owns saving it (see cli._cmd_extract).
+        self.parse_cache = parse_cache
+        if parse_cache is not None:
+            caches = getattr(extractor, "caches", None)
+            if caches is not None:
+                caches.linkages.attach_persistent(parse_cache)
+        self.extractor = extractor
+        self.workers = workers
+        self.chunk_size = chunk_size
+        #: When set, the run (and every pool worker) attributes wall
+        #: time to pipeline stages; merged per-stage seconds/counts
+        #: land in ``stats()["stages"]``.
+        self.profile_stages = profile_stages
+        self.stage_profiler = (
+            profiling.StageProfiler() if profile_stages else None
         )
+        #: When set, every run records one span tree per record here
+        #: (worker trees are merged back in input order).
+        self.tracer = tracer
         self.policy = policy or RetryPolicy()
         if isinstance(journal, (str, Path)):
             journal = Journal(journal)
+        #: When set, every completed chunk and quarantined record is
+        #: checkpointed here as it happens, so a crashed run keeps its
+        #: finished work and ``resume`` skips it.
         self.journal = journal
         self.fault_plan = fault_plan
         self.resume = resume
         self.run_id = run_id
+        #: Merged engine counters (caches, parser) from the last runs.
+        self.engine_stats: dict[str, Any] = {}
         #: Poison records isolated during the last :meth:`run`.
         self.quarantine: list[QuarantineEntry] = []
         #: Optional translation from run-local record positions to an
@@ -469,6 +437,19 @@ class ResilientCorpusRunner(CorpusRunner):
         #: index, matching a batch run over the same stream.  Serial
         #: (``workers=1``) runs without a journal only.
         self.index_map: Sequence[int] | None = None
+
+    def _load_artifact(
+        self, artifact: "CompiledArtifact | str | Path"
+    ) -> tuple["CompiledArtifact", str | None]:
+        """Resolve the artifact argument, timing any disk load."""
+        from repro.runtime.compiled import CompiledArtifact
+
+        if isinstance(artifact, CompiledArtifact):
+            return artifact, None
+        path = str(artifact)
+        with self.metrics.time("artifact_load_seconds"):
+            loaded = CompiledArtifact.load(path)
+        return loaded, path
 
     # ------------------------------------------------------------ API
 
@@ -505,19 +486,102 @@ class ResilientCorpusRunner(CorpusRunner):
         self.metrics.count("records", len(records))
         return results
 
+    def _target_document_cache_size(self, n_records: int) -> int:
+        """Capacity that covers one worker's share of the corpus.
+
+        Every record touches a handful of distinct section texts, so a
+        cache smaller than ~8× the run of records it serves thrashes
+        (all evictions, no cross-record reuse).  Sized by the
+        **per-worker record share**, not the scheduling unit: one
+        worker processes many chunks through the same cache, so sizing
+        by the chunk alone thrashed the parallel lane (the default
+        unit is a quarter of the share).  Bounded so a huge corpus
+        cannot pin unbounded document memory.
+        """
+        share = max(1, math.ceil(n_records / self.workers))
+        return min(4096, max(256, 8 * share))
+
+    def _size_document_cache(self, n_records: int) -> None:
+        """Grow the in-process document cache to fit this run.
+
+        Explicit ``document_cache_size`` wins; otherwise the cache
+        grows (never shrinks — shrinking would throw away warm
+        entries) to the computed target.
+        """
+        if self.document_cache_size is not None:
+            return
+        caches = getattr(self.extractor, "caches", None)
+        if caches is None:
+            return
+        target = self._target_document_cache_size(n_records)
+        if target > caches.documents.maxsize:
+            caches.documents.resize(target)
+
+    def throughput(self) -> float:
+        """Records per second across every ``run`` so far."""
+        return self.metrics.rate("records", "extract_seconds")
+
     def stats(self) -> dict[str, Any]:
-        out = super().stats()
+        """One JSON-dumpable view over runner + engine metrics."""
+        parser = self.engine_stats.get("parser", {})
+        linkages = self.engine_stats.get("linkages", {})
+        worker_stats = self.engine_stats.get("workers", {})
+        hits = linkages.get("hits", 0)
+        lookups = hits + linkages.get("misses", 0)
+        before = parser.get("disjuncts_before", 0)
+        persistent_hits = parser.get("persistent_hits", 0)
+        persistent_lookups = persistent_hits + parser.get(
+            "persistent_misses", 0
+        )
         counters = self.metrics.counters
-        for name in (
-            "retries",
-            "quarantined",
-            "requeued_chunks",
-            "bisections",
-            "pool_rebuilds",
-            "resumed_chunks",
-        ):
-            out[name] = counters.get(name, 0)
-        return out
+        return {
+            "workers": self.workers,
+            "records": counters.get("records", 0),
+            "extract_seconds": self.metrics.timers.get(
+                "extract_seconds", 0.0
+            ),
+            "records_per_sec": self.throughput(),
+            "worker_init_seconds": worker_stats.get(
+                "init_seconds", 0.0
+            ),
+            "workers_initialized": worker_stats.get("initialized", 0),
+            "artifact_load_seconds": self.metrics.timers.get(
+                "artifact_load_seconds", 0.0
+            ),
+            "warm_start": self.artifact is not None,
+            "linkage_cache_hit_rate": hits / lookups if lookups else 0.0,
+            "persistent_parse_cache": self.parse_cache is not None,
+            "persistent_parse_hits": persistent_hits,
+            "persistent_parse_misses": parser.get(
+                "persistent_misses", 0
+            ),
+            "persistent_parse_hit_rate": (
+                persistent_hits / persistent_lookups
+                if persistent_lookups
+                else 0.0
+            ),
+            "match_bitset_hits": parser.get("match_bitset_hits", 0),
+            "beam_pruned": parser.get("beam_pruned", 0),
+            "parse_timeouts": parser.get("timeouts", 0),
+            "prune_ratio": (
+                1.0 - parser.get("disjuncts_after", 0) / before
+                if before
+                else 0.0
+            ),
+            "stages": self.engine_stats.get("stages", {}),
+            "engine": self.engine_stats,
+            **{
+                name: counters.get(name, 0)
+                for name in (
+                    "retries",
+                    "quarantined",
+                    "requeued_chunks",
+                    "bisections",
+                    "pool_rebuilds",
+                    "resumed_chunks",
+                )
+            },
+        }
 
     # ------------------------------------------------------ internals
 
@@ -526,15 +590,17 @@ class ResilientCorpusRunner(CorpusRunner):
         records: list[PatientRecord],
         plan: FaultPlan | None,
     ) -> "list[ExtractionResult]":
-        digest = corpus_digest(records)
         completed: dict[int, list[ExtractionResult]] = {}
         self.quarantine = []
-        if self.journal is not None and self.resume:
-            self._load_checkpoint(completed, digest)
-        elif self.journal is not None:
-            self.journal.write_header(self._journal_meta(
-                digest, len(records)
-            ))
+        if self.journal is not None:
+            # Only the journal header and the resume check read it.
+            digest = corpus_digest(records)
+            if self.resume:
+                self._load_checkpoint(completed, digest)
+            else:
+                self.journal.write_header(
+                    self._journal_meta(digest, len(records))
+                )
         covered = {
             index
             for start, results in completed.items()
@@ -774,20 +840,10 @@ class ResilientCorpusRunner(CorpusRunner):
         self,
         models: dict[str, dict] | None,
         parse_budget: float | None,
-        n_tasks: int,
-        n_records: int = 0,
-    ):
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Size each worker's document cache by its record share (the
-        # same policy as the base runner's parallel path — previously
-        # the raw ``document_cache_size`` rode through, leaving
-        # resilient workers at the 256-entry default and thrashing).
-        worker_cache_size = self.document_cache_size or (
-            self._target_document_cache_size(n_records)
-            if n_records
-            else None
-        )
+        tasks: "deque[_ChunkTask]",
+    ) -> ProcessPoolExecutor:
+        # Size each worker's document cache by its record share.
+        n_records = sum(len(task.records) for task in tasks)
         parse_cache_path = (
             str(self.parse_cache.path)
             if self.parse_cache is not None
@@ -795,13 +851,14 @@ class ResilientCorpusRunner(CorpusRunner):
             else None
         )
         return ProcessPoolExecutor(
-            max_workers=min(self.workers, max(n_tasks, 1)),
-            initializer=_init_resilient_worker,
+            max_workers=min(self.workers, max(len(tasks), 1)),
+            initializer=_init_worker,
             initargs=(
                 models,
                 parse_budget,
                 self._artifact_path,
-                worker_cache_size,
+                self.document_cache_size
+                or self._target_document_cache_size(n_records),
                 parse_cache_path,
                 self.profile_stages,
             ),
@@ -813,22 +870,50 @@ class ResilientCorpusRunner(CorpusRunner):
         completed: "dict[int, list[ExtractionResult]]",
         plan: FaultPlan | None,
     ) -> None:
+        """Prime-then-fan-out: run the first task here, pool the rest.
+
+        The pool then forks with a parse cache that already holds the
+        corpus's boilerplate sentence shapes; otherwise every worker
+        re-parses the same few shapes from scratch (see
+        docs/performance.md §6).  Without a caller's parse cache an
+        ephemeral in-memory one is attached just for the hand-off.
+        """
+        prime = len(tasks) > 1
+        prime_cache = self.parse_cache
+        caches = getattr(self.extractor, "caches", None)
+        ephemeral = prime and prime_cache is None and caches is not None
+        if ephemeral:
+            from repro.runtime.parsecache import PersistentParseCache
+
+            prime_cache = PersistentParseCache.empty(
+                self.extractor.numeric.parser.dictionary.signature()
+            )
+            caches.linkages.attach_persistent(prime_cache)
+        try:
+            if prime:
+                self._drain_serial(
+                    deque([tasks.popleft()]), completed, plan
+                )
+            # Fork-started (and rebuilt) pools inherit the artifact
+            # and the primed cache copy-on-write.
+            with published(self.artifact, prime_cache):
+                self._drain_pool(tasks, completed, plan)
+        finally:
+            if ephemeral:
+                caches.linkages.attach_persistent(None)
+
+    def _drain_pool(
+        self,
+        tasks: "deque[_ChunkTask]",
+        completed: "dict[int, list[ExtractionResult]]",
+        plan: FaultPlan | None,
+    ) -> None:
         models = _serialize_models(self.extractor)
         parse_budget = getattr(self.extractor, "parse_budget", None)
         trace = self.tracer is not None
         spans_by_start: dict[int, list[dict]] = {}
         rebuilds = 0
-        n_pending = sum(len(task.records) for task in tasks)
-        # Publish the artifact (and warm parse cache) so fork-started
-        # (and rebuilt) pools inherit them copy-on-write, exactly as
-        # the base runner does.
-        previous_artifact = _runner._SHARED_ARTIFACT
-        previous_parse_cache = _runner._SHARED_PARSE_CACHE
-        _runner._SHARED_ARTIFACT = self.artifact
-        _runner._SHARED_PARSE_CACHE = self.parse_cache
-        pool = self._make_pool(
-            models, parse_budget, len(tasks), n_pending
-        )
+        pool = self._make_pool(models, parse_budget, tasks)
         futures: dict[Any, _ChunkTask] = {}
         try:
             while tasks or futures:
@@ -844,9 +929,7 @@ class ResilientCorpusRunner(CorpusRunner):
                         )
                         try:
                             futures[
-                                pool.submit(
-                                    _extract_chunk_guarded, payload
-                                )
+                                pool.submit(_extract_chunk, payload)
                             ] = task
                         except BrokenProcessPool:
                             tasks.appendleft(task)
@@ -910,15 +993,8 @@ class ResilientCorpusRunner(CorpusRunner):
                     # one: leaving its threads mid-operation can
                     # deadlock children forked from this process.
                     pool.shutdown(wait=True, cancel_futures=True)
-                    pool = self._make_pool(
-                        models,
-                        parse_budget,
-                        max(len(tasks), 1),
-                        sum(len(task.records) for task in tasks),
-                    )
+                    pool = self._make_pool(models, parse_budget, tasks)
         finally:
-            _runner._SHARED_ARTIFACT = previous_artifact
-            _runner._SHARED_PARSE_CACHE = previous_parse_cache
             pool.shutdown(wait=True, cancel_futures=True)
         if self.tracer is not None:
             for start in sorted(spans_by_start):
@@ -963,7 +1039,12 @@ class ResilientCorpusRunner(CorpusRunner):
         futures.clear()
 
 
+#: Second name of :class:`CorpusRunner`, imported by the CLI, the
+#: service, the shards and perfbench.
+ResilientCorpusRunner = CorpusRunner
+
 __all__ = [
+    "CorpusRunner",
     "Journal",
     "QuarantineEntry",
     "ResilientCorpusRunner",

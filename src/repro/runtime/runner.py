@@ -1,38 +1,37 @@
-"""Corpus-scale extraction: serial by default, process fan-out on demand.
+"""Worker-process side of the corpus runner.
 
-A :class:`CorpusRunner` drives
-:meth:`~repro.extraction.pipeline.RecordExtractor.extract_all` over a
-cohort.  ``workers=1`` (the default) runs in-process and stays the
-deterministic reference path.  ``workers>1`` fans chunks of records
-out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
+:class:`~repro.runtime.resilience.CorpusRunner` runs every corpus.
+With ``workers>1`` it fans chunks of records out over a
+:class:`~concurrent.futures.ProcessPoolExecutor`; this module is what
+those pool workers (and the service's forked shard children) run:
 
-* each worker builds its extraction stack **once** in a pool
-  initializer — dictionary expansion, pipeline, ontology, and the
-  categorical models (shipped as serialized ID3 trees) are per-worker
-  constants, not per-record costs;
-* work is distributed in contiguous chunks so each worker's
-  cross-record caches see runs of similar records;
-* results come back tagged with their chunk index and are reassembled
-  in input order, so parallel output is byte-identical to serial;
-* each finished chunk also returns the delta of the worker's engine
-  counters (cache hits, prune ratio, parse time), which the parent
-  merges into one metrics view.
+* :func:`published` makes the parent's compiled artifact and warm
+  parse cache visible to children forked inside it, copy-on-write;
+* :func:`_init_worker`, the one pool initializer, builds each
+  worker's extraction stack **once** — dictionary expansion,
+  pipeline, ontology, and the categorical models (shipped as
+  serialized ID3 trees) are per-worker constants, not per-record
+  costs — and marks the process as a disposable worker, so injected
+  ``kill`` faults really end it;
+* :func:`_extract_chunk`, the one chunk function, fires scheduled
+  faults, extracts each record, resets the caches on failure, and
+  returns the results with the worker's counter delta (cache hits,
+  prune ratio, parse time), its span trees, and the parse outcomes it
+  added, which the parent merges into one view.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro import profiling
 from repro.records.model import PatientRecord
 from repro.runtime import tracing
-from repro.runtime.metrics import Metrics, diff_stats, merge_stats
-from repro.runtime.tracing import Span, Tracer
+from repro.runtime.faults import FaultPlan, mark_worker
+from repro.runtime.metrics import diff_stats
+from repro.runtime.tracing import Tracer
 
 if TYPE_CHECKING:  # real imports are deferred: extraction imports us
     from repro.extraction.pipeline import (
@@ -41,7 +40,6 @@ if TYPE_CHECKING:  # real imports are deferred: extraction imports us
     )
     from repro.runtime.compiled import CompiledArtifact
     from repro.runtime.parsecache import PersistentParseCache
-    from repro.runtime.resilience import Journal
 
 #: Per-process extractor, created by the pool initializer.
 _WORKER_EXTRACTOR: "RecordExtractor | None" = None
@@ -65,6 +63,25 @@ _SHARED_PARSE_CACHE: "PersistentParseCache | None" = None
 #: delta, so the parent can aggregate per-worker start-up cost.
 _WORKER_INIT_SECONDS: float = 0.0
 _WORKER_INIT_REPORTED: bool = True
+
+
+@contextmanager
+def published(
+    artifact: "CompiledArtifact | None",
+    parse_cache: "PersistentParseCache | None",
+) -> Iterator[None]:
+    """Publish a warm stack to every child forked inside the block.
+
+    The previous values come back on exit, so nested or later forks
+    see whatever their own owner published.
+    """
+    global _SHARED_ARTIFACT, _SHARED_PARSE_CACHE
+    previous = _SHARED_ARTIFACT, _SHARED_PARSE_CACHE
+    _SHARED_ARTIFACT, _SHARED_PARSE_CACHE = artifact, parse_cache
+    try:
+        yield
+    finally:
+        _SHARED_ARTIFACT, _SHARED_PARSE_CACHE = previous
 
 
 def _serialize_models(
@@ -100,6 +117,7 @@ def _init_worker(
     global _WORKER_EXTRACTOR, _WORKER_INIT_SECONDS
     global _WORKER_INIT_REPORTED
     started = time.perf_counter()
+    mark_worker()
     if profile_stages and profiling.active() is None:
         # Process-wide for the worker's lifetime: _extract_chunk runs
         # outside this frame, and chunk deltas pick the numbers up
@@ -161,16 +179,55 @@ def _attach_parse_cache(
         caches.linkages.attach_persistent(cache)
 
 
+def _extract_records(
+    extractor: "RecordExtractor",
+    records: Sequence[PatientRecord],
+    start: int,
+    attempt: int,
+    plan: FaultPlan | None,
+    index_map: Sequence[int] | None = None,
+) -> "list[ExtractionResult]":
+    """The innermost loop: fire scheduled faults, extract each record.
+
+    ``index_map`` translates run-local record positions to an outer
+    index space (the extraction service's global accept sequence), so
+    fault matching and injected-error messages speak global indices —
+    identical to a batch run over the same stream.
+    """
+    results = []
+    for offset, record in enumerate(records):
+        if plan is not None:
+            position = start + offset
+            plan.fire(
+                index_map[position]
+                if index_map is not None
+                else position,
+                attempt,
+                extractor=extractor,
+            )
+        results.append(extractor.extract(record))
+    return results
+
+
+def _reset_caches(extractor: "RecordExtractor") -> None:
+    """Evict possibly-corrupt cache state after a chunk failure."""
+    caches = getattr(extractor, "caches", None)
+    if caches is not None:
+        caches.clear()
+
+
 def _extract_chunk(
-    payload: tuple[int, list[PatientRecord], bool],
+    payload: tuple[
+        int, tuple[PatientRecord, ...], bool, int, FaultPlan | None
+    ],
 ) -> tuple[
     int,
-    list[ExtractionResult],
+    "list[ExtractionResult]",
     dict[str, Any],
     list[dict],
     dict[tuple, tuple],
 ]:
-    """Extract one chunk; returns (index, results, deltas, spans,
+    """Extract one chunk; returns (start, results, deltas, spans,
     parse_delta).
 
     With tracing requested, the chunk runs under a worker-local
@@ -180,25 +237,35 @@ def _extract_chunk(
     ``parse_delta`` carries the parse outcomes this worker added to
     its persistent cache during the chunk (empty without one); the
     parent merges them so one run's sidecar sees every worker's work.
+    A failed chunk resets the worker's caches before it re-raises.
     """
-    index, records, trace = payload
-    assert _WORKER_EXTRACTOR is not None, "pool initializer did not run"
-    before = _WORKER_EXTRACTOR.counters()
+    start, records, trace, attempt, plan = payload
+    extractor = _WORKER_EXTRACTOR
+    assert extractor is not None, "pool initializer did not run"
+    before = extractor.counters()
     spans: list[dict] = []
-    if trace:
-        tracer = Tracer()
-        with tracing.activated(tracer):
-            results = _WORKER_EXTRACTOR.extract_all(records)
-        spans = [root.to_dict() for root in tracer.roots]
-    else:
-        results = _WORKER_EXTRACTOR.extract_all(records)
-    delta = diff_stats(_WORKER_EXTRACTOR.counters(), before)
+    try:
+        if trace:
+            tracer = Tracer()
+            with tracing.activated(tracer):
+                results = _extract_records(
+                    extractor, records, start, attempt, plan
+                )
+            spans = [root.to_dict() for root in tracer.roots]
+        else:
+            results = _extract_records(
+                extractor, records, start, attempt, plan
+            )
+    except Exception:
+        _reset_caches(extractor)
+        raise
+    delta = diff_stats(extractor.counters(), before)
     delta = _attach_init_report(delta)
     parse_delta: dict[tuple, tuple] = {}
-    caches = getattr(_WORKER_EXTRACTOR, "caches", None)
+    caches = getattr(extractor, "caches", None)
     if caches is not None and caches.linkages.persistent is not None:
         parse_delta = caches.linkages.persistent.drain_delta()
-    return index, results, delta, spans, parse_delta
+    return start, results, delta, spans, parse_delta
 
 
 def _attach_init_report(delta: dict[str, Any]) -> dict[str, Any]:
@@ -217,384 +284,3 @@ def _attach_init_report(delta: dict[str, Any]) -> dict[str, Any]:
             "initialized": 1,
         }
     return delta
-
-
-class CorpusRunner:
-    """Batch extraction engine with optional process parallelism."""
-
-    def __init__(
-        self,
-        extractor: "RecordExtractor | None" = None,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        tracer: Tracer | None = None,
-        journal: "Journal | None" = None,
-        artifact: "CompiledArtifact | str | Path | None" = None,
-        document_cache_size: int | None = None,
-        parse_cache: "PersistentParseCache | None" = None,
-        profile_stages: bool = False,
-    ) -> None:
-        from repro.extraction.pipeline import RecordExtractor
-
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        if document_cache_size is not None and document_cache_size < 1:
-            raise ValueError(
-                "document_cache_size must be >= 1, got "
-                f"{document_cache_size}"
-            )
-        self.metrics = Metrics()
-        #: Compiled warm-start bundle: when set, it both builds the
-        #: default extractor and is shared with pool workers (via
-        #: fork inheritance, with a load-from-path fallback).
-        self.artifact: "CompiledArtifact | None" = None
-        self._artifact_path: str | None = None
-        if artifact is not None:
-            self.artifact, self._artifact_path = self._load_artifact(
-                artifact
-            )
-        self.document_cache_size = document_cache_size
-        if extractor is None:
-            if self.artifact is not None:
-                extractor = self.artifact.make_extractor(
-                    document_cache_size=document_cache_size
-                )
-            else:
-                extractor = RecordExtractor()
-        if document_cache_size is not None:
-            caches = getattr(extractor, "caches", None)
-            if caches is not None:
-                caches.documents.resize(document_cache_size)
-        #: Persistent cross-run parse cache: attached to the serial
-        #: extractor's linkage cache here, published to pool workers
-        #: copy-on-write, and fed every worker's delta at reassembly.
-        #: The caller owns saving it (see cli._cmd_extract).
-        self.parse_cache = parse_cache
-        if parse_cache is not None:
-            caches = getattr(extractor, "caches", None)
-            if caches is not None:
-                caches.linkages.attach_persistent(parse_cache)
-        self.extractor = extractor
-        self.workers = workers
-        self.chunk_size = chunk_size
-        #: When set, the run (and every pool worker) attributes wall
-        #: time to pipeline stages; merged per-stage seconds/counts
-        #: land in ``stats()["stages"]``.
-        self.profile_stages = profile_stages
-        self.stage_profiler = (
-            profiling.StageProfiler() if profile_stages else None
-        )
-        #: When set, every run records one span tree per record here
-        #: (worker trees are merged back in input order).
-        self.tracer = tracer
-        #: When set, every completed chunk is checkpointed here
-        #: *before* any later failure can propagate, so a crashed run
-        #: keeps its finished work (see runtime.resilience.Journal).
-        self.journal = journal
-        #: Merged engine counters (caches, parser) from the last runs.
-        self.engine_stats: dict[str, Any] = {}
-
-    def _load_artifact(
-        self, artifact: "CompiledArtifact | str | Path"
-    ) -> tuple["CompiledArtifact", str | None]:
-        """Resolve the artifact argument, timing any disk load."""
-        from repro.runtime.compiled import CompiledArtifact
-
-        if isinstance(artifact, CompiledArtifact):
-            return artifact, None
-        path = str(artifact)
-        with self.metrics.time("artifact_load_seconds"):
-            loaded = CompiledArtifact.load(path)
-        return loaded, path
-
-    # ------------------------------------------------------------ public
-
-    def run(
-        self, records: Sequence[PatientRecord]
-    ) -> list[ExtractionResult]:
-        """Extract every record, results in input order."""
-        records = list(records)
-        self._size_document_cache(len(records))
-        context: Any = (
-            profiling.activated(self.stage_profiler)
-            if self.stage_profiler is not None
-            else nullcontext()
-        )
-        with context:
-            with self.metrics.time("extract_seconds"):
-                if self.workers == 1 or len(records) <= 1:
-                    results = self._run_serial(records)
-                else:
-                    results = self._run_parallel(records)
-        self.metrics.count("records", len(records))
-        return results
-
-    def _target_document_cache_size(self, n_records: int) -> int:
-        """Capacity that covers one worker's share of the corpus.
-
-        Every record touches a handful of distinct section texts, so a
-        cache smaller than ~8× the run of records it serves thrashes
-        (all evictions, no cross-record reuse).  Sized by the
-        **per-worker record share**, not the scheduling unit: one
-        worker processes many chunks through the same cache, so sizing
-        by the chunk alone thrashed the parallel lane (the default
-        unit is a quarter of the share).  Bounded so a huge corpus
-        cannot pin unbounded document memory.
-        """
-        share = max(1, math.ceil(n_records / self.workers))
-        return min(4096, max(256, 8 * share))
-
-    def _size_document_cache(self, n_records: int) -> None:
-        """Grow the in-process document cache to fit this run.
-
-        Explicit ``document_cache_size`` wins; otherwise the cache
-        grows (never shrinks — shrinking would throw away warm
-        entries) to the computed target.
-        """
-        if self.document_cache_size is not None:
-            return
-        caches = getattr(self.extractor, "caches", None)
-        if caches is None:
-            return
-        target = self._target_document_cache_size(n_records)
-        if target > caches.documents.maxsize:
-            caches.documents.resize(target)
-
-    def throughput(self) -> float:
-        """Records per second across every ``run`` so far."""
-        return self.metrics.rate("records", "extract_seconds")
-
-    def stats(self) -> dict[str, Any]:
-        """One JSON-dumpable view over runner + engine metrics."""
-        parser = self.engine_stats.get("parser", {})
-        linkages = self.engine_stats.get("linkages", {})
-        worker_stats = self.engine_stats.get("workers", {})
-        hits = linkages.get("hits", 0)
-        lookups = hits + linkages.get("misses", 0)
-        before = parser.get("disjuncts_before", 0)
-        persistent_hits = parser.get("persistent_hits", 0)
-        persistent_lookups = persistent_hits + parser.get(
-            "persistent_misses", 0
-        )
-        return {
-            "workers": self.workers,
-            "records": self.metrics.counters.get("records", 0),
-            "extract_seconds": self.metrics.timers.get(
-                "extract_seconds", 0.0
-            ),
-            "records_per_sec": self.throughput(),
-            "worker_init_seconds": worker_stats.get(
-                "init_seconds", 0.0
-            ),
-            "workers_initialized": worker_stats.get("initialized", 0),
-            "artifact_load_seconds": self.metrics.timers.get(
-                "artifact_load_seconds", 0.0
-            ),
-            "warm_start": self.artifact is not None,
-            "linkage_cache_hit_rate": hits / lookups if lookups else 0.0,
-            "persistent_parse_cache": self.parse_cache is not None,
-            "persistent_parse_hits": persistent_hits,
-            "persistent_parse_misses": parser.get(
-                "persistent_misses", 0
-            ),
-            "persistent_parse_hit_rate": (
-                persistent_hits / persistent_lookups
-                if persistent_lookups
-                else 0.0
-            ),
-            "match_bitset_hits": parser.get("match_bitset_hits", 0),
-            "beam_pruned": parser.get("beam_pruned", 0),
-            "parse_timeouts": parser.get("timeouts", 0),
-            "prune_ratio": (
-                1.0 - parser.get("disjuncts_after", 0) / before
-                if before
-                else 0.0
-            ),
-            "stages": self.engine_stats.get("stages", {}),
-            "engine": self.engine_stats,
-        }
-
-    # ---------------------------------------------------------- serial
-
-    def _run_serial(
-        self, records: list[PatientRecord]
-    ) -> list[ExtractionResult]:
-        if self.journal is not None:
-            return self._run_serial_journaled(records)
-        before = self.extractor.counters()
-        if self.tracer is not None:
-            with tracing.activated(self.tracer):
-                results = self.extractor.extract_all(records)
-        else:
-            results = self.extractor.extract_all(records)
-        merge_stats(
-            self.engine_stats,
-            diff_stats(self.extractor.counters(), before),
-        )
-        return results
-
-    def _run_serial_journaled(
-        self, records: list[PatientRecord]
-    ) -> list[ExtractionResult]:
-        """Serial run with per-chunk checkpointing.
-
-        Each chunk is journaled the moment it completes, so a record
-        that blows up later in the corpus cannot take the finished
-        work down with it.
-        """
-        assert self.journal is not None
-        results: list[ExtractionResult] = []
-        start = 0
-        for _, chunk_records, _ in self._chunks(records):
-            before = self.extractor.counters()
-            if self.tracer is not None:
-                with tracing.activated(self.tracer):
-                    chunk_results = self.extractor.extract_all(
-                        chunk_records
-                    )
-            else:
-                chunk_results = self.extractor.extract_all(
-                    chunk_records
-                )
-            merge_stats(
-                self.engine_stats,
-                diff_stats(self.extractor.counters(), before),
-            )
-            self.journal.append_chunk(start, chunk_results)
-            results.extend(chunk_results)
-            start += len(chunk_records)
-        return results
-
-    # -------------------------------------------------------- parallel
-
-    def _chunks(
-        self, records: list[PatientRecord]
-    ) -> list[tuple[int, list[PatientRecord], bool]]:
-        size = self.chunk_size or max(
-            1, math.ceil(len(records) / (self.workers * 4))
-        )
-        trace = self.tracer is not None
-        return [
-            (index, records[start:start + size], trace)
-            for index, start in enumerate(range(0, len(records), size))
-        ]
-
-    def _run_parallel(
-        self, records: list[PatientRecord]
-    ) -> list[ExtractionResult]:
-        chunks = self._chunks(records)
-        chunk_starts: dict[int, int] = {}
-        position = 0
-        for index, chunk_records, _ in chunks:
-            chunk_starts[index] = position
-            position += len(chunk_records)
-        models = _serialize_models(self.extractor)
-        collected: dict[int, list[ExtractionResult]] = {}
-        collected_spans: dict[int, list[Span]] = {}
-        worker_cache_size = (
-            self.document_cache_size
-            or self._target_document_cache_size(len(records))
-        )
-        # Prime-then-fan-out: run the first chunk in the parent so
-        # the shared parse cache already holds the corpus's
-        # boilerplate sentence shapes when the pool forks.  Without
-        # this, every worker re-parses the same few shapes from
-        # scratch — (workers-1) × duplicated parse cost that is pure
-        # overhead wherever cores are scarce (the diagnosed cause of
-        # the parallel<serial-warm inversion; see docs/performance.md
-        # §6).  If no persistent parse cache was configured, an
-        # ephemeral in-memory one is attached just for the hand-off.
-        prime_cache = self.parse_cache
-        ephemeral = None
-        caches = getattr(self.extractor, "caches", None)
-        if len(chunks) > 1 and prime_cache is None and caches is not None:
-            from repro.runtime.parsecache import PersistentParseCache
-
-            ephemeral = PersistentParseCache.empty(
-                self.extractor.numeric.parser.dictionary.signature()
-            )
-            caches.linkages.attach_persistent(ephemeral)
-            prime_cache = ephemeral
-        if len(chunks) > 1:
-            index0, chunk0, _ = chunks[0]
-            before = self.extractor.counters()
-            if self.tracer is not None:
-                with tracing.activated(self.tracer):
-                    results0 = self.extractor.extract_all(chunk0)
-            else:
-                results0 = self.extractor.extract_all(chunk0)
-            merge_stats(
-                self.engine_stats,
-                diff_stats(self.extractor.counters(), before),
-            )
-            collected[index0] = results0
-            if self.journal is not None:
-                self.journal.append_chunk(
-                    chunk_starts[index0], results0
-                )
-            remaining = chunks[1:]
-        else:
-            remaining = chunks
-        # Publish the artifact (and warm parse cache) for fork-started
-        # workers to inherit copy-on-write; restored afterwards so
-        # nested or later pools see whatever their own runner
-        # published.
-        global _SHARED_ARTIFACT, _SHARED_PARSE_CACHE
-        previous = _SHARED_ARTIFACT
-        previous_parse_cache = _SHARED_PARSE_CACHE
-        _SHARED_ARTIFACT = self.artifact
-        _SHARED_PARSE_CACHE = prime_cache
-        parse_cache_path = (
-            str(self.parse_cache.path)
-            if self.parse_cache is not None
-            and self.parse_cache.path is not None
-            else None
-        )
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(remaining)),
-                initializer=_init_worker,
-                initargs=(
-                    models,
-                    getattr(self.extractor, "parse_budget", None),
-                    self._artifact_path,
-                    worker_cache_size,
-                    parse_cache_path,
-                    self.profile_stages,
-                ),
-            ) as pool:
-                # pool.map yields chunks in input order and re-raises
-                # a chunk's exception when its turn comes — every
-                # chunk journaled before that point survives the
-                # failure.
-                for index, results, delta, spans, parse_delta in pool.map(
-                    _extract_chunk, remaining
-                ):
-                    collected[index] = results
-                    collected_spans[index] = [
-                        Span.from_dict(span) for span in spans
-                    ]
-                    merge_stats(self.engine_stats, delta)
-                    if self.parse_cache is not None and parse_delta:
-                        self.parse_cache.merge(parse_delta)
-                    if self.journal is not None:
-                        self.journal.append_chunk(
-                            chunk_starts[index], results
-                        )
-        finally:
-            _SHARED_ARTIFACT = previous
-            _SHARED_PARSE_CACHE = previous_parse_cache
-            if ephemeral is not None and caches is not None:
-                caches.linkages.attach_persistent(None)
-        if self.tracer is not None:
-            for index in sorted(collected_spans):
-                self.tracer.merge(collected_spans[index])
-        return [
-            result
-            for index in sorted(collected)
-            for result in collected[index]
-        ]

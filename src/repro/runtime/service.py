@@ -73,6 +73,7 @@ from repro.runtime.resilience import (
     ResilientCorpusRunner,
     RetryPolicy,
 )
+from repro.runtime.runner import _serialize_models, published
 from repro.runtime.sharding import (
     BatchOutcome,
     LocalShard,
@@ -462,8 +463,6 @@ class ExtractionService:
         # serialization (stub extractors need not look like the real
         # pipeline) unless we are about to fork shard children.
         if self.config.shards > 1:
-            from repro.runtime.runner import _serialize_models
-
             models = _serialize_models(self._extractor)
         else:
             models = None
@@ -496,22 +495,13 @@ class ExtractionService:
             assert self.runner is not None
             workers: list[Any] = [LocalShard(0, self.runner, spec)]
         else:
-            from repro.runtime import runner as runner_mod
-
             # Publish the warm stack for fork-started shard children
             # to inherit copy-on-write, exactly like pool workers.
-            previous = runner_mod._SHARED_ARTIFACT
-            previous_cache = runner_mod._SHARED_PARSE_CACHE
-            runner_mod._SHARED_ARTIFACT = self.artifact
-            runner_mod._SHARED_PARSE_CACHE = self.parse_cache
-            try:
+            with published(self.artifact, self.parse_cache):
                 workers = [
                     ProcessShard(shard_id, spec)
                     for shard_id in range(self.config.shards)
                 ]
-            finally:
-                runner_mod._SHARED_ARTIFACT = previous
-                runner_mod._SHARED_PARSE_CACHE = previous_cache
         self._shards = [
             _Shard(
                 shard_id=worker.shard_id,

@@ -11,7 +11,7 @@ those decisions observable without changing them:
   attributes (cache hits, chosen methods, distances);
 * a :class:`Tracer` collects span trees — one root per record — and
   can serialize them as JSONL, merge trees shipped back from
-  :class:`~repro.runtime.runner.CorpusRunner` workers, and summarize
+  :class:`~repro.runtime.resilience.CorpusRunner` workers, and summarize
   per-kind timing percentiles;
 * :data:`NULL_TRACER` is the zero-cost default: its ``span()`` returns
   one shared no-op context manager, so instrumented code pays a single

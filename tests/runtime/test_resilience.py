@@ -127,7 +127,9 @@ class TestTransientFaults:
 
 class TestTypedErrorsOnly:
     def test_permanent_parallel_kill_is_a_typed_error(self, cohort):
-        plan = FaultPlan.parse("kill@1:always")
+        # Records 0-1 run in the parent to prime the pool; record 3
+        # sits in the first chunk a pool worker runs.
+        plan = FaultPlan.parse("kill@3:always")
         runner = _runner(
             4,
             plan,
@@ -140,6 +142,21 @@ class TestTypedErrorsOnly:
         with pytest.raises(ResilienceError):
             runner.run(cohort)
         assert runner.stats()["pool_rebuilds"] >= 1
+
+    def test_kill_in_the_primed_chunk_quarantines(self, cohort, baseline):
+        # The first chunk of a parallel run executes in the parent, so
+        # a kill there is a typed InjectedWorkerKill, retried and
+        # quarantined as in a serial run; no pool breaks.
+        plan = FaultPlan.parse("kill@1:always")
+        runner = _runner(4, plan)
+        results = runner.run(cohort)
+        assert results == [
+            r for i, r in enumerate(baseline) if i != 1
+        ]
+        assert [
+            (e.record_index, e.error_type) for e in runner.quarantine
+        ] == [(1, "InjectedWorkerKill")]
+        assert runner.stats()["pool_rebuilds"] == 0
 
     def test_permanent_serial_kill_quarantines(self, cohort, baseline):
         # Serial kill raises a typed InjectedWorkerKill instead of

@@ -38,15 +38,15 @@ class TestValidation:
 class TestChunking:
     def test_explicit_chunk_size(self):
         runner = CorpusRunner(workers=2, chunk_size=2)
-        chunks = runner._chunks(list(range(5)))
-        assert [c for _, c, _ in chunks] == [[0, 1], [2, 3], [4]]
-        assert [i for i, _, _ in chunks] == [0, 1, 2]
-        assert all(trace is False for _, _, trace in chunks)
+        tasks = runner._pending_tasks(list(range(5)), set())
+        assert [list(t.records) for t in tasks] == [[0, 1], [2, 3], [4]]
+        assert [t.start for t in tasks] == [0, 2, 4]
+        assert all(t.attempt == 0 for t in tasks)
 
     def test_default_chunking_covers_everything(self):
         runner = CorpusRunner(workers=3)
-        chunks = runner._chunks(list(range(100)))
-        flattened = [x for _, c, _ in chunks for x in c]
+        tasks = runner._pending_tasks(list(range(100)), set())
+        flattened = [x for t in tasks for x in t.records]
         assert flattened == list(range(100))
 
 
@@ -101,13 +101,26 @@ class TestParallel:
             for v in result.categorical.values()
         )
 
+    def test_production_runner_primes_before_fan_out(self, cohort):
+        # The first chunk runs in the parent and the pool forks with
+        # its parses, so no worker re-parses a boilerplate sentence
+        # shape the parent (or another worker) already parsed.
+        from repro.runtime import ResilientCorpusRunner
 
-def _poison_record():
-    # sections=None crashes extraction with an untyped TypeError in
-    # whichever process touches it — parent or pool worker.
-    from repro.records import PatientRecord
-
-    return PatientRecord(patient_id="poison", sections=None)
+        records, _ = cohort
+        serial = ResilientCorpusRunner(RecordExtractor())
+        serial.run(records)
+        parallel = ResilientCorpusRunner(
+            RecordExtractor(), workers=2, chunk_size=2
+        )
+        assert parallel.run(records) == RecordExtractor().extract_all(
+            records
+        )
+        assert (
+            parallel.engine_stats["parser"]["sentences"]
+            == serial.engine_stats["parser"]["sentences"]
+        )
+        assert parallel.stats()["persistent_parse_hits"] > 0
 
 
 class TestJournaledPartialResults:
@@ -115,53 +128,34 @@ class TestJournaledPartialResults:
 
     The runner used to return (or journal) nothing when any chunk
     raised; with a journal attached, every chunk completed before the
-    failure must already be on disk when the exception propagates.
+    failure must already be on disk when the failure propagates.
     """
 
     def test_serial_failure_preserves_earlier_chunks(
         self, cohort, tmp_path
     ):
-        from repro.runtime import Journal
+        from repro.runtime import FaultPlan, Journal
+        from repro.runtime.faults import InjectedInterrupt
 
         records, _ = cohort
-        poisoned = list(records) + [_poison_record()]
+        # Five records at chunk_size=2: the interrupted last record is
+        # alone in the tail chunk.  An interrupt skips retry, so it
+        # ends the run the way an untyped crash used to.
+        corpus = list(records[:5])
         journal = Journal(tmp_path / "serial.journal")
-        journal.write_header({"run_id": "t"})
-        runner = CorpusRunner(
-            RecordExtractor(), chunk_size=2, journal=journal
-        )
-        with pytest.raises(TypeError):
-            runner.run(poisoned)
-        _, chunks, _ = journal.load()
-        journaled = [
-            r for start in sorted(chunks) for r in chunks[start]
-        ]
-        # Every full chunk before the poisoned tail chunk survived.
-        assert [r.patient_id for r in journaled] == [
-            r.patient_id for r in records
-        ]
-
-    def test_parallel_failure_preserves_earlier_chunks(
-        self, cohort, tmp_path
-    ):
-        from repro.runtime import Journal
-
-        records, _ = cohort
-        poisoned = list(records) + [_poison_record()]
-        journal = Journal(tmp_path / "parallel.journal")
-        journal.write_header({"run_id": "t"})
         runner = CorpusRunner(
             RecordExtractor(),
-            workers=2,
             chunk_size=2,
             journal=journal,
+            fault_plan=FaultPlan.parse("interrupt@last"),
         )
-        with pytest.raises(TypeError):
-            runner.run(poisoned)
+        with pytest.raises(InjectedInterrupt):
+            runner.run(corpus)
         _, chunks, _ = journal.load()
         journaled = [
             r for start in sorted(chunks) for r in chunks[start]
         ]
+        # Every full chunk before the interrupted tail chunk survived.
         assert [r.patient_id for r in journaled] == [
-            r.patient_id for r in records
+            r.patient_id for r in corpus[:-1]
         ]

@@ -837,31 +837,12 @@ class CorpusRunner:
     # ------------------------------------------------------- parallel
 
     def _make_pool(
-        self,
-        models: dict[str, dict] | None,
-        parse_budget: float | None,
-        tasks: "deque[_ChunkTask]",
+        self, initargs: tuple, n_tasks: int
     ) -> ProcessPoolExecutor:
-        # Size each worker's document cache by its record share.
-        n_records = sum(len(task.records) for task in tasks)
-        parse_cache_path = (
-            str(self.parse_cache.path)
-            if self.parse_cache is not None
-            and self.parse_cache.path is not None
-            else None
-        )
         return ProcessPoolExecutor(
-            max_workers=min(self.workers, max(len(tasks), 1)),
+            max_workers=min(self.workers, max(n_tasks, 1)),
             initializer=_init_worker,
-            initargs=(
-                models,
-                parse_budget,
-                self._artifact_path,
-                self.document_cache_size
-                or self._target_document_cache_size(n_records),
-                parse_cache_path,
-                self.profile_stages,
-            ),
+            initargs=initargs,
         )
 
     def _drain_parallel(
@@ -878,6 +859,7 @@ class CorpusRunner:
         docs/performance.md §6).  Without a caller's parse cache an
         ephemeral in-memory one is attached just for the hand-off.
         """
+        n_records = sum(len(task.records) for task in tasks)
         prime = len(tasks) > 1
         prime_cache = self.parse_cache
         caches = getattr(self.extractor, "caches", None)
@@ -897,7 +879,7 @@ class CorpusRunner:
             # Fork-started (and rebuilt) pools inherit the artifact
             # and the primed cache copy-on-write.
             with published(self.artifact, prime_cache):
-                self._drain_pool(tasks, completed, plan)
+                self._drain_pool(tasks, completed, plan, n_records)
         finally:
             if ephemeral:
                 caches.linkages.attach_persistent(None)
@@ -907,13 +889,27 @@ class CorpusRunner:
         tasks: "deque[_ChunkTask]",
         completed: "dict[int, list[ExtractionResult]]",
         plan: FaultPlan | None,
+        n_records: int,
     ) -> None:
-        models = _serialize_models(self.extractor)
-        parse_budget = getattr(self.extractor, "parse_budget", None)
+        initargs = (
+            _serialize_models(self.extractor),
+            getattr(self.extractor, "parse_budget", None),
+            self._artifact_path,
+            # Chunks go to whichever worker is free, so one can run
+            # more than an even share of the pool's records: size its
+            # document cache by its share of the whole run instead.
+            self.document_cache_size
+            or self._target_document_cache_size(n_records),
+            str(self.parse_cache.path)
+            if self.parse_cache is not None
+            and self.parse_cache.path is not None
+            else None,
+            self.profile_stages,
+        )
         trace = self.tracer is not None
         spans_by_start: dict[int, list[dict]] = {}
         rebuilds = 0
-        pool = self._make_pool(models, parse_budget, tasks)
+        pool = self._make_pool(initargs, len(tasks))
         futures: dict[Any, _ChunkTask] = {}
         try:
             while tasks or futures:
@@ -993,7 +989,7 @@ class CorpusRunner:
                     # one: leaving its threads mid-operation can
                     # deadlock children forked from this process.
                     pool.shutdown(wait=True, cancel_futures=True)
-                    pool = self._make_pool(models, parse_budget, tasks)
+                    pool = self._make_pool(initargs, len(tasks))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
         if self.tracer is not None:

@@ -139,8 +139,8 @@ class TestJournaledPartialResults:
 
         records, _ = cohort
         # Five records at chunk_size=2: the interrupted last record is
-        # alone in the tail chunk.  An interrupt skips retry, so it
-        # ends the run the way an untyped crash used to.
+        # alone in the tail chunk.  An interrupt skips retry and ends
+        # the run, leaving the journal a crash there would leave.
         corpus = list(records[:5])
         journal = Journal(tmp_path / "serial.journal")
         runner = CorpusRunner(

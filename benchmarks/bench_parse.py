@@ -6,14 +6,14 @@ shapes in every fresh process.  This bench isolates that cost on the
 200-record consistent cohort in four lanes, all producing
 bit-for-bit identical extraction output:
 
-* **cold** — dict-keyed match tables, no persistent cache: the
-  pre-PR parser;
-* **bitset** — packed-bitset match tables and gate tests in the
-  counting/extraction recurrences (default on);
-* **warm** — the second of two back-to-back runs sharing a
-  persistent sidecar (``<artifact>.parsecache``): every sentence
-  shape is served from disk, zero parses;
-* **combined** — bitset + warm sidecar, the shipping configuration.
+* **cold** — the parser with no persistent cache;
+* **warm_first** — the first of two back-to-back runs sharing a
+  persistent sidecar (``<artifact>.parsecache``): it parses every
+  sentence shape and populates the sidecar;
+* **warm** — the second of those runs: every sentence shape is
+  served from disk, zero parses;
+* **combined** — a third run on a fresh stack over the same sidecar,
+  the shipping configuration.
 
 Gates (mirrored in CI's bench-smoke job from ``BENCH_parse.json``):
 the warm lane's persistent hit rate must be >= 0.9, and the combined
@@ -48,31 +48,28 @@ def _cohort(size: int):
     )
 
 
-def _stack(bitset: bool, persistent=None) -> RecordExtractor:
-    """An extraction stack with the parser fast paths dialed in."""
+def _stack(persistent=None) -> RecordExtractor:
+    """An extraction stack, optionally over a persistent sidecar."""
     caches = ExtractionCaches()
     if persistent is not None:
         caches.linkages.attach_persistent(persistent)
     numeric = NumericExtractor(
-        parser=LinkGrammarParser(bitset=bitset),
+        parser=LinkGrammarParser(),
         document_cache=caches.documents,
         linkage_cache=caches.linkages,
     )
     return RecordExtractor(numeric=numeric, caches=caches)
 
 
-def _lane(records, bitset: bool, persistent=None):
+def _lane(records, persistent=None):
     """One serial corpus run; returns (results, lane stats)."""
-    runner = CorpusRunner(
-        _stack(bitset, persistent), parse_cache=persistent
-    )
+    runner = CorpusRunner(_stack(persistent), parse_cache=persistent)
     started = time.perf_counter()
     results = runner.run(records)
     elapsed = time.perf_counter() - started
     stats = runner.stats()
     parser = stats["engine"].get("parser", {})
     return results, {
-        "bitset": bitset,
         "persistent": persistent is not None,
         "extract_seconds": elapsed,
         "parse_seconds": parser.get("parse_seconds", 0.0),
@@ -92,8 +89,7 @@ def test_parse_lanes(benchmark, tmp_path):
     signature = LinkGrammarParser().dictionary.signature()
 
     def run():
-        cold_results, cold = _lane(records, bitset=False)
-        bitset_results, bitset = _lane(records, bitset=True)
+        cold_results, cold = _lane(records)
 
         # Two back-to-back runs sharing the sidecar: the first
         # populates it, the second — a fresh stack, simulating a
@@ -103,34 +99,30 @@ def test_parse_lanes(benchmark, tmp_path):
             sidecar, signature
         )
         warm_results_first, warm_first = _lane(
-            records, bitset=False, persistent=first_cache
+            records, persistent=first_cache
         )
         first_cache.save()
         second_cache, loaded = PersistentParseCache.load_or_create(
             sidecar, signature
         )
         assert loaded
-        warm_results, warm = _lane(
-            records, bitset=False, persistent=second_cache
-        )
+        warm_results, warm = _lane(records, persistent=second_cache)
 
         combined_cache, _ = PersistentParseCache.load_or_create(
             sidecar, signature
         )
         combined_results, combined = _lane(
-            records, bitset=True, persistent=combined_cache
+            records, persistent=combined_cache
         )
 
-        # Hard invariant: the fast paths change how parses are
+        # Hard invariant: the sidecar changes how parses are
         # produced, never what is extracted.
-        assert bitset_results == cold_results
         assert warm_results_first == cold_results
         assert warm_results == cold_results
         assert combined_results == cold_results
 
         return {
             "cold": cold,
-            "bitset": bitset,
             "warm_first": warm_first,
             "warm": warm,
             "combined": combined,
@@ -152,8 +144,7 @@ def test_parse_lanes(benchmark, tmp_path):
         f"Parser lanes ({CORPUS_SIZE} records, consistent style)",
         ["lane", "parse time", "parses", "sidecar hits", "total"],
         [
-            row("cold (dict tables)", cold),
-            row("bitset", lanes["bitset"]),
+            row("cold", cold),
             row("warm sidecar (run 1)", lanes["warm_first"]),
             row("warm sidecar (run 2)", lanes["warm"]),
             row("combined", lanes["combined"]),
@@ -184,6 +175,3 @@ def test_parse_lanes(benchmark, tmp_path):
         lanes["combined"]["parse_seconds"]
         <= 0.5 * cold["parse_seconds"]
     )
-    # Bitset lane actually took its fast path (and cold did not).
-    assert lanes["bitset"]["match_bitset_hits"] > 0
-    assert cold["match_bitset_hits"] == 0

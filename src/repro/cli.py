@@ -716,8 +716,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         )
         print(
             f"parser fast paths: "
-            f"{stats['match_bitset_hits']} bitset match hits, "
-            f"{stats['beam_pruned']} beam-pruned disjuncts"
+            f"{stats['match_bitset_hits']} bitset match hits"
         )
         print(
             f"warm start: {'on' if stats['warm_start'] else 'off'}; "

@@ -116,13 +116,13 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     ),
     Experiment(
         id="PARSE",
-        artifact="persistent parse cache + bitset parser lanes",
+        artifact="persistent parse cache: cold vs warm-sidecar lanes",
         bench_file="bench_parse.py",
         kind="infrastructure",
     ),
     Experiment(
         id="PIPELINE",
-        artifact="fused scanner + term automaton post-parse lanes",
+        artifact="post-parse pipeline: serial, profiled, parallel lanes",
         bench_file="bench_pipeline.py",
         kind="infrastructure",
     ),

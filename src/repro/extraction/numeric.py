@@ -35,7 +35,7 @@ from repro.extraction.temporal import (
 from repro.linkgrammar.distance import ASSOCIATION_WEIGHTS, nearest_word
 from repro.linkgrammar.linkage import Linkage
 from repro.linkgrammar.parser import LinkGrammarParser
-from repro.nlp.document import Annotation, Document, SentenceView
+from repro.nlp.document import Document, SentenceView
 from repro.nlp.pipeline import Pipeline, default_pipeline
 from repro.records.model import PatientRecord
 from repro.runtime import tracing
@@ -168,7 +168,6 @@ class NumericExtractor:
         context_filter: bool = True,
         document_cache: DocumentCache | None = None,
         linkage_cache: LinkageCache | None = None,
-        fast_paths: bool = True,
         regex_index: dict[str, str] | None = None,
     ) -> None:
         self.attributes = attributes
@@ -196,11 +195,6 @@ class NumericExtractor:
         # between records (consistent dictation styles repeat sentence
         # shapes across a whole cohort).
         self.linkage_cache = linkage_cache or LinkageCache()
-        #: When False, rebuild per-sentence context (texts/tags/number
-        #: indices) on every call instead of reading the document's
-        #: cached sentence views — the pre-view behaviour kept as the
-        #: benchmark baseline and parity oracle.
-        self.fast_paths = fast_paths
         #: Per-attribute alternation of ``regex_patterns``, used purely
         #: as a no-match prefilter (the original ordered per-pattern
         #: loop still decides which pattern fires and how out-of-range
@@ -268,7 +262,7 @@ class NumericExtractor:
         cache when one is configured).
         """
         patterns = attr.regex_patterns
-        if patterns and self.fast_paths:
+        if patterns:
             combined = self._combined_regex(attr)
             if combined is not None and combined.search(text) is None:
                 patterns = ()  # no individual pattern can match either
@@ -286,16 +280,8 @@ class NumericExtractor:
                     )
         if document is None:
             document = self._document(text)
-        if self.fast_paths:
-            for view in document.sentence_views():
-                found = self._extract_from_sentence(
-                    attr, document, view.sentence, view=view
-                )
-                if found is not None:
-                    return found
-            return None
-        for sentence in document.sentences():
-            found = self._extract_from_sentence(attr, document, sentence)
+        for view in document.sentence_views():
+            found = self._extract_from_sentence(attr, document, view)
             if found is not None:
                 return found
         return None
@@ -331,17 +317,14 @@ class NumericExtractor:
         such sentence exists.
         """
         document = self._document(text)
-        for sentence in document.sentences():
-            tokens = document.tokens(sentence)
-            mentions = self._lexicons[attr.name].find(document, tokens)
-            numbers = self._candidate_numbers(
-                attr, document, sentence, tokens, mentions=mentions
-            )
+        for view in document.sentence_views():
+            mentions = self._lexicons[attr.name].find_tokens(view.lowers)
+            numbers = self._candidate_numbers(attr, view, mentions)
             if not mentions or not numbers:
                 continue
             mention = mentions[0]
-            sentence_text = document.span_text(sentence)
-            linkage = self._parse_cached(document, tokens)
+            sentence_text = document.span_text(view.sentence)
+            linkage = self._parse_cached(view)
             distances: dict[int, float] = {}
             if linkage is not None:
                 token_to_pos = {
@@ -363,9 +346,7 @@ class NumericExtractor:
                         for tok, pos in token_to_pos.items()
                         if pos in all_distances
                     }
-            extraction = self._extract_from_sentence(
-                attr, document, sentence
-            )
+            extraction = self._extract_from_sentence(attr, document, view)
             return AssociationExplanation(
                 attribute=attr.name,
                 sentence=sentence_text,
@@ -390,22 +371,12 @@ class NumericExtractor:
         self,
         attr: NumericAttribute,
         document: Document,
-        sentence: Annotation,
-        view: SentenceView | None = None,
+        view: SentenceView,
     ) -> NumericExtraction | None:
-        if view is not None:
-            tokens = view.tokens
-            texts = view.lowers
-            mentions = self._lexicons[attr.name].find_tokens(texts)
-        else:
-            tokens = document.tokens(sentence)
-            texts = [document.span_text(t).lower() for t in tokens]
-            mentions = self._lexicons[attr.name].find_tokens(texts)
+        mentions = self._lexicons[attr.name].find_tokens(view.lowers)
         if not mentions:
             return None
-        all_numbers = self._number_context(
-            attr, document, sentence, tokens, texts, view, mentions
-        )
+        all_numbers = self._number_context(attr, view, mentions)
         numbers = [
             (index, value)
             for index, value, is_ratio in all_numbers
@@ -414,7 +385,7 @@ class NumericExtractor:
         ]
         if not numbers:
             return None
-        sentence_text = document.span_text(sentence)
+        sentence_text = document.span_text(view.sentence)
 
         with tracing.span(
             "sentence",
@@ -424,9 +395,7 @@ class NumericExtractor:
             candidates=len(numbers),
         ):
             found = self._associate_mentions(
-                attr, document, tokens, mentions, numbers,
-                sentence_text, view, texts=texts,
-                all_numbers=all_numbers,
+                attr, view, mentions, numbers, sentence_text, all_numbers
             )
             if found is not None and tracing.enabled():
                 tracing.annotate(
@@ -439,21 +408,15 @@ class NumericExtractor:
     def _associate_mentions(
         self,
         attr: NumericAttribute,
-        document: Document,
-        tokens: list[Annotation],
+        view: SentenceView,
         mentions: list[FeatureMention],
         numbers: list[tuple[int, float | tuple[float, float]]],
         sentence_text: str,
-        view: SentenceView | None = None,
-        texts: list[str] | None = None,
-        all_numbers: (
-            list[tuple[int, float | tuple[float, float], bool]] | None
-        ) = None,
+        all_numbers: list[tuple[int, float | tuple[float, float], bool]],
     ) -> NumericExtraction | None:
-        if texts is None:
-            texts = [document.span_text(t).lower() for t in tokens]
+        texts = view.lowers
         for mention in mentions:
-            if self.use_alignment and all_numbers is not None:
+            if self.use_alignment:
                 hit = self._associate_by_alignment(
                     attr, texts, mention, all_numbers
                 )
@@ -467,9 +430,7 @@ class NumericExtractor:
                 with tracing.span(
                     "association", mention.surface, strategy="linkage"
                 ):
-                    hit = self._associate_by_linkage(
-                        document, tokens, mention, numbers, view
-                    )
+                    hit = self._associate_by_linkage(view, mention, numbers)
                 if hit is not None:
                     value, detail = hit
                     if self._value_ok(attr, value):
@@ -503,11 +464,8 @@ class NumericExtractor:
     def _candidate_numbers(
         self,
         attr: NumericAttribute,
-        document: Document,
-        sentence: Annotation,
-        tokens: list[Annotation],
-        view: SentenceView | None = None,
-        mentions: list[FeatureMention] | None = None,
+        view: SentenceView,
+        mentions: list[FeatureMention],
     ) -> list[tuple[int, float | tuple[float, float]]]:
         """(token index, value) pairs for numbers matching the shape.
 
@@ -518,14 +476,7 @@ class NumericExtractor:
         never be this attribute's value, and leaving it in lets the
         linkage associate it and mask the in-range answer.
         """
-        texts = (
-            view.lowers
-            if view is not None
-            else [document.span_text(t).lower() for t in tokens]
-        )
-        context = self._number_context(
-            attr, document, sentence, tokens, texts, view, mentions
-        )
+        context = self._number_context(attr, view, mentions)
         return [
             (index, value)
             for index, value, is_ratio in context
@@ -536,12 +487,8 @@ class NumericExtractor:
     def _number_context(
         self,
         attr: NumericAttribute,
-        document: Document,
-        sentence: Annotation,
-        tokens: list[Annotation],
-        texts: list[str],
-        view: SentenceView | None = None,
-        mentions: list[FeatureMention] | None = None,
+        view: SentenceView,
+        mentions: list[FeatureMention],
     ) -> list[tuple[int, float | tuple[float, float], bool]]:
         """All usable (index, value, is_ratio) numbers of a sentence.
 
@@ -554,14 +501,9 @@ class NumericExtractor:
           surface ("SpO2" tokenizes into ``spo``/``2``) is part of the
           keyword, not a value.
         """
-        if view is not None:
-            token_starts = view.token_index_by_start
-            numbers_in_sentence = view.numbers
-        else:
-            token_starts = {t.start: i for i, t in enumerate(tokens)}
-            numbers_in_sentence = document.numbers(sentence)
+        token_starts = view.token_index_by_start
         blocked = (
-            self._blocked_indices(texts, view)
+            self._blocked_indices(view)
             if self.context_filter
             else frozenset()
         )
@@ -571,7 +513,7 @@ class NumericExtractor:
             else ()
         )
         out: list[tuple[int, float | tuple[float, float], bool]] = []
-        for number in numbers_in_sentence:
+        for number in view.numbers:
             index = token_starts.get(number.start)
             if index is None:
                 continue
@@ -588,19 +530,15 @@ class NumericExtractor:
             out.append((index, value, is_ratio))
         return out
 
-    def _blocked_indices(
-        self, texts: list[str], view: SentenceView | None
-    ) -> frozenset[int]:
+    def _blocked_indices(self, view: SentenceView) -> frozenset[int]:
         """Temporal-filter scope of one sentence, memoized per view."""
-        if view is None:
-            return temporal_blocked_indices(texts)
         memo = view.cache.get(self._view_token)
         if memo is None:
             memo = {}
             view.cache[self._view_token] = memo
         blocked = memo.get("temporal-blocked")
         if blocked is None:
-            blocked = temporal_blocked_indices(texts)
+            blocked = temporal_blocked_indices(view.lowers)
             memo["temporal-blocked"] = blocked
         return blocked
 
@@ -687,13 +625,11 @@ class NumericExtractor:
 
     def _associate_by_linkage(
         self,
-        document: Document,
-        tokens: list[Annotation],
+        view: SentenceView,
         mention: FeatureMention,
         numbers: list[tuple[int, float | tuple[float, float]]],
-        view: SentenceView | None = None,
     ) -> tuple[float | tuple[float, float], str] | None:
-        linkage = self._parse_cached(document, tokens, view)
+        linkage = self._parse_cached(view)
         if linkage is None:
             return None
         token_to_pos = {
@@ -719,35 +655,24 @@ class NumericExtractor:
             return None
         return candidates[best], f"graph-distance={distance:g}"
 
-    def _parse_cached(
-        self,
-        document: Document,
-        tokens: list[Annotation],
-        view: SentenceView | None = None,
-    ) -> Linkage | None:
-        if view is not None:
-            # Memoize the resolved linkage on the view: every attribute
-            # visiting this sentence pays the words/tags rebuild and
-            # cache-signature computation once per record.  Sharing one
-            # Linkage object is safe — hits already share its distance
-            # memo by design.
-            memo = view.cache.get(self._view_token)
-            if memo is None:
-                memo = {}
-                view.cache[self._view_token] = memo
-            if "linkage" in memo:
-                return memo["linkage"]
-            tags = view.tags
-            if "" in tags:  # untagged tokens default to NN, as below
-                tags = [t or "NN" for t in tags]
-            linkage = self.linkage_cache.lookup(
-                self.parser, view.lowers, tags
-            )
-            memo["linkage"] = linkage
-            return linkage
-        words = [document.span_text(t).lower() for t in tokens]
-        tags = [t.features.get("pos", "NN") for t in tokens]
-        return self.linkage_cache.lookup(self.parser, words, tags)
+    def _parse_cached(self, view: SentenceView) -> Linkage | None:
+        # Memoize the resolved linkage on the view: every attribute
+        # visiting this sentence pays the tags rebuild and
+        # cache-signature computation once per record.  Sharing one
+        # Linkage object is safe — hits already share its distance
+        # memo by design.
+        memo = view.cache.get(self._view_token)
+        if memo is None:
+            memo = {}
+            view.cache[self._view_token] = memo
+        if "linkage" in memo:
+            return memo["linkage"]
+        tags = view.tags
+        if "" in tags:  # untagged tokens default to NN
+            tags = [t or "NN" for t in tags]
+        linkage = self.linkage_cache.lookup(self.parser, view.lowers, tags)
+        memo["linkage"] = linkage
+        return linkage
 
     def _associate_by_pattern(
         self,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro import profiling
 from repro.extraction.negation import blocked_token_indices
 from repro.extraction.schema import TERMS_ATTRIBUTES, TermsAttribute
-from repro.nlp.document import Annotation, Document, SentenceView
+from repro.nlp.document import SentenceView
 from repro.nlp.pipeline import Pipeline, default_pipeline
 from repro.ontology.automaton import TermAutomaton
 from repro.ontology.builder import default_ontology
@@ -99,8 +99,6 @@ class TermExtractor:
         attributes: tuple[TermsAttribute, ...] | None = None,
         context_filter: bool = True,
         automaton: TermAutomaton | None = None,
-        use_automaton: bool = True,
-        legacy_scan: bool = False,
     ) -> None:
         self.ontology = ontology or default_ontology()
         self.attributes: tuple[TermsAttribute, ...] = (
@@ -128,13 +126,11 @@ class TermExtractor:
         #: default; pass False to study the unfiltered extractor.
         self.context_filter = context_filter
         self.normalizer = normalizer or TermNormalizer()
-        #: When True, skip the view/automaton fast paths and rebuild
-        #: sentence context per call — the pre-automaton scan kept as
-        #: the parity oracle and benchmark baseline.
-        self.legacy_scan = legacy_scan
-        self.use_automaton = use_automaton
+        #: Proposes the candidate start positions of each sentence.
+        #: Stays ``None`` for an ontology without a compiled view; the
+        #: scan then probes every position.
         self.automaton = automaton
-        if self.automaton is None and use_automaton and not legacy_scan:
+        if self.automaton is None:
             keys = getattr(self._index, "normalized_keys", None)
             if keys is not None:
                 index_normalizer = getattr(
@@ -213,13 +209,6 @@ class TermExtractor:
             else self.pipeline.process_text(text)
         )
         hits: list[TermHit] = []
-        if self.legacy_scan:
-            for sentence in document.sentences():
-                tokens = document.tokens(sentence)
-                hits.extend(
-                    self._scan_sentence(document, tokens, semantic_types)
-                )
-            return hits
         with profiling.stage("term-scan"):
             for view in document.sentence_views():
                 hits.extend(self._scan_view(view, semantic_types))
@@ -227,46 +216,19 @@ class TermExtractor:
 
     # ------------------------------------------------------- internals
 
-    def _scan_sentence(
-        self,
-        document: Document,
-        tokens: list[Annotation],
-        semantic_types: set[SemanticType] | None,
-    ) -> list[TermHit]:
-        texts = [document.span_text(t) for t in tokens]
-        tags = [t.features.get("pos", "NN") for t in tokens]
-        blocked = (
-            blocked_token_indices(texts)
-            if self.context_filter
-            else frozenset()
-        )
-        hits: list[TermHit] = []
-        i = 0
-        while i < len(tokens):
-            hit = self._match_at(texts, tags, i, semantic_types)
-            if hit is not None:
-                # A hit inside a negation/family scope is still a
-                # recognized term — skip past it, record nothing.
-                if hit.start_token not in blocked:
-                    hits.append(hit)
-                i = hit.end_token  # continue after the term's endpoint
-            else:
-                i += 1
-        return hits
-
     def _scan_view(
         self,
         view: SentenceView,
         semantic_types: set[SemanticType] | None,
     ) -> list[TermHit]:
-        """Fast-path scan over a precomputed sentence view.
+        """Scan one sentence view left to right for term hits.
 
-        Identical results to :meth:`_scan_sentence`: texts/tags come
-        from the view instead of per-call rebuilds, the negation scope
-        and automaton candidate set are memoized on the view (shared
-        across the attributes visiting this sentence), and every
-        candidate position is resolved by the unchanged
-        :meth:`_match_at` probe.
+        The negation scope and the automaton's candidate set are
+        memoized on the view (shared across the attributes visiting
+        this sentence).  Positions outside the candidate set are
+        skipped; every candidate is resolved by the :meth:`_match_at`
+        probe.  A hit inside a negation/family scope is still a
+        recognized term: the scan skips past it and records nothing.
         """
         texts = view.texts
         if not texts:
@@ -283,7 +245,7 @@ class TermExtractor:
         else:
             blocked = frozenset()
         candidates: set[int] | None = None
-        if self.use_automaton and self.automaton is not None:
+        if self.automaton is not None:
             if "candidates" in memo:
                 candidates = memo["candidates"]
             else:
@@ -292,7 +254,7 @@ class TermExtractor:
         tags = memo.get("tags")
         if tags is None:
             tags = view.tags
-            if "" in tags:  # untagged tokens default to NN, as legacy
+            if "" in tags:  # untagged tokens default to NN
                 tags = [t or "NN" for t in tags]
             memo["tags"] = tags
         hits: list[TermHit] = []
@@ -372,14 +334,6 @@ class TermExtractor:
                 if m.concept.semantic_type in semantic_types
             ]
         return matches[0] if matches else None
-
-    def _assign(
-        self, attr: TermsAttribute, hits: list[TermHit]
-    ) -> list[str]:
-        """Split hits into the predefined or the "other" column."""
-        return [
-            name for name, _ in self._assign_hits(attr, hits)
-        ]
 
     def _assign_hits(
         self, attr: TermsAttribute, hits: list[TermHit]

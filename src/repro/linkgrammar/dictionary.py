@@ -163,14 +163,14 @@ class Dictionary:
         sentence can ever carry come from this dictionary, so one table
         over the dictionary's distinct labels (a few hundred entries)
         serves every sentence — computed once, cached, shipped inside
-        compiled grammars, and invalidated by :meth:`add`.
+        compiled grammars, and invalidated by :meth:`add`.  The parser
+        reads it through :meth:`bitset_tables`.
 
         Returns ``(table, matchers_for_left, matchers_for_right)``:
         ``table[(plus, minus)]`` says whether the labels can link;
         ``matchers_for_left[minus]`` is the set of right-pointing
-        labels that can reach ``minus`` (and vice versa).  Pruning
-        intersects these with the labels actually present in a
-        sentence, so the dictionary-wide supersets are exact there.
+        labels that can reach ``minus`` (and vice versa).  Compiled
+        artifacts pickle all three fields.
         """
         cached = self._match_tables
         if cached is None:

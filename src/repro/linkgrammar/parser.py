@@ -56,7 +56,6 @@ from repro.linkgrammar.dictionary import (
     BitsetTables,
     Dictionary,
     DisjunctMasks,
-    MatchTables,
     default_dictionary,
 )
 from repro.linkgrammar.expressions import Disjunct
@@ -87,11 +86,8 @@ class ParserStats:
     disjuncts_after: int = 0
     parse_seconds: float = 0.0
     #: Candidate disjuncts the region recurrence tried before it
-    #: found the first witness of each region (0 when the bitset
-    #: path is off).
+    #: found the first witness of each region.
     match_bitset_hits: int = 0
-    #: Disjuncts dropped by cost-bounded beam pruning (``beam=``).
-    beam_pruned: int = 0
     #: Sentence shapes served from / missed in the persistent
     #: cross-run parse cache (see repro.runtime.parsecache).
     persistent_hits: int = 0
@@ -112,7 +108,6 @@ class ParserStats:
             "disjuncts_after": self.disjuncts_after,
             "parse_seconds": self.parse_seconds,
             "match_bitset_hits": self.match_bitset_hits,
-            "beam_pruned": self.beam_pruned,
             "persistent_hits": self.persistent_hits,
             "persistent_misses": self.persistent_misses,
         }
@@ -125,7 +120,6 @@ class ParserStats:
         self.disjuncts_after = 0
         self.parse_seconds = 0.0
         self.match_bitset_hits = 0
-        self.beam_pruned = 0
         self.persistent_hits = 0
         self.persistent_misses = 0
 
@@ -138,16 +132,6 @@ class LinkGrammarParser:
     way (pruned disjuncts can never appear in a complete linkage);
     the flag exists so that equivalence stays testable and ablations
     can measure what pruning buys.
-
-    ``bitset=False`` falls back from the packed-bitmask match tables
-    and mask pruning to the string-pair dict and label-set pruning —
-    again bit-for-bit identical output, through the same recurrence;
-    the toggle exists for parity tests and ablations.  ``beam`` (off by
-    default) enables cost-bounded beam pruning: at each word,
-    disjuncts costing more than ``cheapest + beam`` are dropped before
-    the recurrence.  Unlike power pruning this is an approximation —
-    it can change or lose linkages — so it never participates in
-    parity suites and is excluded from shared caches' default keys.
     """
 
     def __init__(
@@ -157,22 +141,16 @@ class LinkGrammarParser:
         max_words: int = 40,
         prune: bool = True,
         time_budget: float | None = None,
-        bitset: bool = True,
-        beam: int | None = None,
     ) -> None:
         if time_budget is not None and time_budget < 0:
             raise ValueError(
                 f"time_budget must be >= 0, got {time_budget}"
             )
-        if beam is not None and beam < 0:
-            raise ValueError(f"beam must be >= 0, got {beam}")
         self.dictionary = dictionary or default_dictionary()
         self.max_linkages = max_linkages
         self.max_words = max_words
         self.prune = prune
         self.time_budget = time_budget
-        self.bitset = bitset
-        self.beam = beam
         self.stats = ParserStats()
 
     # ------------------------------------------------------------ public
@@ -238,27 +216,19 @@ class LinkGrammarParser:
         session = _ParseSession(
             sentence,
             disjuncts,
-            self.dictionary.match_tables(),
-            prune=self.prune,
+            self.dictionary.bitset_tables(),
+            disjunct_masks=(
+                self.dictionary.disjunct_masks() if self.prune else None
+            ),
             deadline=deadline,
             budget=self.time_budget,
-            bitset_tables=(
-                self.dictionary.bitset_tables() if self.bitset else None
-            ),
-            disjunct_masks=(
-                self.dictionary.disjunct_masks()
-                if self.bitset and self.prune
-                else None
-            ),
-            beam=self.beam,
         )
         self.stats.disjuncts_before += session.disjuncts_before
         self.stats.disjuncts_after += session.disjuncts_after
-        self.stats.beam_pruned += session.beam_pruned
         try:
             linkages = session.linkages(self.max_linkages)
         finally:
-            self.stats.match_bitset_hits += session.match_bitset_hits
+            self.stats.match_bitset_hits += session.candidates_tried
         if not linkages:
             raise ParseFailure(words, "no complete linkage")
         result = [
@@ -371,13 +341,10 @@ class _ParseSession:
         self,
         sentence: list[str],
         disjuncts: list[list[Disjunct]],
-        match_tables: MatchTables,
-        prune: bool = True,
+        bitset_tables: BitsetTables,
+        disjunct_masks: DisjunctMasks | None = None,
         deadline: float | None = None,
         budget: float | None = None,
-        bitset_tables: "BitsetTables | None" = None,
-        disjunct_masks: "DisjunctMasks | None" = None,
-        beam: int | None = None,
     ) -> None:
         self.sentence = sentence
         # Dictionary lists are shared; pruning rebinds, never mutates.
@@ -388,67 +355,26 @@ class _ParseSession:
         self._ops = 0
         self._memo: dict[tuple, bool] = {}
         self.candidates_tried = 0
-        self.beam_pruned = 0
         # Dictionary-wide tables (possibly AOT-compiled) cover a
         # superset of this sentence's labels, so there is no
-        # per-sentence table build.  Pruning intersects them with the
-        # labels actually present, making the superset exact.
-        (
-            self._table,
-            self._matchers_for_left,
-            self._matchers_for_right,
-        ) = match_tables
-        self._use_bitset = bitset_tables is not None
-        if bitset_tables is not None:
-            self._plus_rows, _, _, self._minus_ids = bitset_tables
+        # per-sentence table build.
+        self._plus_rows, _, _, self._minus_ids = bitset_tables
         self.disjuncts_before = sum(len(d) for d in self.disjuncts)
-        if prune:
-            if disjunct_masks is not None:
-                self._prune_masks(disjunct_masks)
-            else:
-                self._prune()
+        if disjunct_masks is not None:
+            self._prune(disjunct_masks)
         self.disjuncts_after = sum(len(d) for d in self.disjuncts)
-        if beam is not None:
-            self._beam_prune(beam)
         # (W, head label, head points right) -> candidates at W.
         self._index: dict[tuple[int, str, bool], list[Disjunct]] = {}
         # Region -> (choices read so far, generator of the rest).
         self._plans: dict[tuple, tuple[list, Iterator]] = {}
 
-    @property
-    def match_bitset_hits(self) -> int:
-        """Candidates tried, reported on the bitset path only."""
-        return self.candidates_tried if self._use_bitset else 0
-
     def _links(self, plus: str, minus: str) -> bool:
         """Can right-pointing label *plus* link to left-pointing
-        label *minus*?  One lookup in the dictionary's tables."""
-        if self._use_bitset:
-            mid = self._minus_ids.get(minus, -1)
-            return (
-                mid >= 0 and (self._plus_rows.get(plus, 0) >> mid) & 1 != 0
-            )
-        return self._table[plus, minus]
+        label *minus*?  One bit test in the dictionary's tables."""
+        mid = self._minus_ids.get(minus, -1)
+        return mid >= 0 and (self._plus_rows.get(plus, 0) >> mid) & 1 != 0
 
-    def _beam_prune(self, beam: int) -> None:
-        """Cost-bounded beam pruning (approximate — see parser docs).
-
-        At each word, drop every disjunct costing more than the word's
-        cheapest disjunct plus *beam*, bounding the branching factor
-        of the O(n³) recurrence.  Applied once, before the recurrence,
-        so `_exists` and `_extract` see the same disjunct lists and can
-        never disagree about which candidates exist.
-        """
-        for i, ds in enumerate(self.disjuncts):
-            if len(ds) <= 1:
-                continue
-            ceiling = min(d.cost for d in ds) + beam
-            kept = [d for d in ds if d.cost <= ceiling]
-            if len(kept) != len(ds):
-                self.beam_pruned += len(ds) - len(kept)
-                self.disjuncts[i] = kept
-
-    def _prune(self) -> None:
+    def _prune(self, disjunct_masks: DisjunctMasks) -> None:
         """Power pruning: drop disjuncts with unconnectable connectors.
 
         A disjunct survives only while each of its left connectors can
@@ -457,66 +383,13 @@ class _ParseSession:
         Iterates to a fixpoint; typically removes the large majority of
         tag-default disjuncts and makes the O(n³) recurrence fast.
 
-        Label sets: for every left-pointing label the set of right-
-        pointing labels that can reach it (and vice versa) is derived
-        once from the match table, so each fixpoint sweep is set
-        algebra over label strings instead of connector pairs.
-        """
-        matchers_for_left = self._matchers_for_left
-        matchers_for_right = self._matchers_for_right
-        empty: set[str] = set()
-
-        changed = True
-        while changed:
-            changed = False
-            # Right-pointing labels available strictly before word i.
-            rights_before: list[set[str]] = []
-            pool: set[str] = set()
-            for ds in self.disjuncts:
-                rights_before.append(set(pool))
-                for d in ds:
-                    pool.update(c.label for c in d.right)
-            # Left-pointing labels available strictly after word i.
-            lefts_after: list[set[str]] = [set() for _ in range(self.n)]
-            pool = set()
-            for i in range(self.n - 1, -1, -1):
-                lefts_after[i] = set(pool)
-                for d in self.disjuncts[i]:
-                    pool.update(c.label for c in d.left)
-            for i, ds in enumerate(self.disjuncts):
-                before, after = rights_before[i], lefts_after[i]
-                kept = [
-                    d
-                    for d in ds
-                    if all(
-                        not before.isdisjoint(
-                            matchers_for_left.get(c.label, empty)
-                        )
-                        for c in d.left
-                    )
-                    and all(
-                        not after.isdisjoint(
-                            matchers_for_right.get(c.label, empty)
-                        )
-                        for c in d.right
-                    )
-                ]
-                if len(kept) != len(ds):
-                    self.disjuncts[i] = kept
-                    changed = True
-
-    def _prune_masks(self, disjunct_masks: "DisjunctMasks") -> None:
-        """Power pruning over per-disjunct label masks — the same
-        fixpoint as :meth:`_prune`, keeping exactly the same disjuncts
-        in the same order.
-
         A disjunct's mask has one bit per connector label (see
         :meth:`Dictionary.disjunct_masks`); a word's labels are the OR
         of its disjuncts' masks.  Each sweep collects the labels every
         word could link to — right-pointing ones on earlier words,
         left-pointing ones on later words — marks the word's labels
         with no partner there as dead, and keeps a disjunct iff its
-        mask holds no dead label.
+        mask holds no dead label, in the original order.
         """
         masks, rows, plus_bits = disjunct_masks
         # Each word's disjunct masks and their OR; words often share a

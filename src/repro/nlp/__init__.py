@@ -19,15 +19,11 @@ from repro.nlp.jape import (
     duration_rules,
     measurement_rules,
 )
-from repro.nlp.numbers import (
-    NumberAnnotator,
-    parse_number_word,
-    parse_word_sequence,
-)
+from repro.nlp.numbers import parse_number_word, parse_word_sequence
 from repro.nlp.pipeline import Pipeline, analyze, default_pipeline
 from repro.nlp.pos_tagger import PosTagger, tag_sentence
-from repro.nlp.sentence_splitter import SentenceSplitter, split_sentences
-from repro.nlp.tokenizer import RawToken, Tokenizer, tokenize
+from repro.nlp.sentence_splitter import split_sentences
+from repro.nlp.tokenizer import scan_tokens, tokenize
 
 __all__ = [
     "Annotation",
@@ -40,7 +36,6 @@ __all__ = [
     "Rule",
     "duration_rules",
     "measurement_rules",
-    "NumberAnnotator",
     "parse_number_word",
     "parse_word_sequence",
     "Pipeline",
@@ -48,9 +43,7 @@ __all__ = [
     "default_pipeline",
     "PosTagger",
     "tag_sentence",
-    "SentenceSplitter",
     "split_sentences",
-    "RawToken",
-    "Tokenizer",
+    "scan_tokens",
     "tokenize",
 ]

@@ -11,8 +11,7 @@ readings (``144/90``) and English words (``seventeen``,
 
 from __future__ import annotations
 
-from repro.nlp.document import Annotation, Document, TokenKind
-from repro import profiling
+from repro.nlp.document import TokenKind
 
 _UNITS = {
     "zero": 0, "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
@@ -82,8 +81,7 @@ def collect_number_features(
     """Number spans + features for a pre-tokenized text.
 
     Walks the full token stream (word-number runs may cross sentence
-    boundaries).  Shared by the staged :class:`NumberAnnotator` and the
-    fused scanner so both annotate identically.
+    boundaries).
     """
     out: list[tuple[int, int, dict]] = []
     n = len(texts)
@@ -132,24 +130,3 @@ def collect_number_features(
         else:
             i += 1
     return out
-
-
-class NumberAnnotator:
-    """Adds ``Number`` annotations over digit, ratio and word numbers."""
-
-    def annotate(self, document: Document) -> None:
-        with profiling.stage("number"):
-            tokens = document.tokens()
-            texts = [document.span_text(t) for t in tokens]
-            kinds = [t.features.get("kind") for t in tokens]
-            spans = [(t.start, t.end) for t in tokens]
-            for start, end, features in collect_number_features(
-                texts, kinds, spans
-            ):
-                document.annotations.add("Number", start, end, features)
-
-
-def annotate_numbers(document: Document) -> list[Annotation]:
-    """Convenience: annotate and return the Number annotations."""
-    NumberAnnotator().annotate(document)
-    return document.numbers()

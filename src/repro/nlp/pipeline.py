@@ -3,7 +3,7 @@
 A :class:`Pipeline` is an ordered list of components, each exposing
 ``annotate(document)``.  The default pipeline reproduces the paper's
 GATE application: tokenization → sentence splitting → POS tagging →
-number annotation.
+number annotation, fused into one traversal.
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.nlp.document import Document
-from repro.nlp.numbers import NumberAnnotator
-from repro.nlp.pos_tagger import PosTagger
-from repro.nlp.sentence_splitter import SentenceSplitter
-from repro.nlp.tokenizer import Tokenizer
+from repro.nlp.scanner import FusedScanner
 
 
 class Component(Protocol):
@@ -40,21 +37,13 @@ class Pipeline:
         return self.process(Document(text, name=name))
 
 
-def default_pipeline(fused: bool = True) -> Pipeline:
+def default_pipeline() -> Pipeline:
     """The paper's GATE application: tokens, sentences, POS, numbers.
 
-    By default the four stages run fused in a single traversal
-    (:class:`repro.nlp.scanner.FusedScanner`); pass ``fused=False`` for
-    the staged component list, which produces identical annotations and
-    serves as the parity baseline in benchmarks and tests.
+    The four stages run fused in a single traversal
+    (:class:`repro.nlp.scanner.FusedScanner`).
     """
-    if fused:
-        from repro.nlp.scanner import FusedScanner
-
-        return Pipeline([FusedScanner()])
-    return Pipeline(
-        [Tokenizer(), SentenceSplitter(), PosTagger(), NumberAnnotator()]
-    )
+    return Pipeline([FusedScanner()])
 
 
 def analyze(text: str, name: str = "") -> Document:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from repro.nlp.abbreviations import CLINICAL_ABBREVIATIONS
-from repro.nlp.document import Annotation, Document, TokenKind
+from repro.nlp.document import TokenKind
 from repro.nlp.lexicon import (
     ADJECTIVES,
     IRREGULAR_VERB_FORMS,
@@ -31,7 +31,6 @@ from repro.nlp.lexicon import (
     VERB_BASES,
     WORD_TAGS,
 )
-from repro import profiling
 
 # Suffix -> tag for unknown words, ordered longest suffix first.
 _SUFFIX_TAGS: list[tuple[str, str]] = [
@@ -123,25 +122,12 @@ def _strip_inflection(word: str) -> list[str]:
 
 
 class PosTagger:
-    """Assigns a ``pos`` feature to every Token annotation."""
+    """Tags sentences given as token strings (and token kinds)."""
 
     def __init__(self) -> None:
         # (word, kind) -> lexicon/morphology tag: layers 1 and 2 read
         # only module tables, so each surface is resolved once.
         self._initial_tags: dict[tuple[str, TokenKind | None], str] = {}
-
-    def annotate(self, document: Document) -> None:
-        with profiling.stage("pos"):
-            for sentence in document.sentences() or [None]:
-                tokens = document.tokens(sentence)
-                if sentence is None:
-                    tokens = document.tokens()
-                texts = [document.span_text(t) for t in tokens]
-                tags = self.tag(
-                    texts, [t.features.get("kind") for t in tokens]
-                )
-                for tok, tag in zip(tokens, tags):
-                    tok.features["pos"] = tag
 
     def tag(
         self,

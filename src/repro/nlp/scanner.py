@@ -1,25 +1,22 @@
 """Fused single-pass NLP scanner.
 
-The staged pipeline walks the token list four times (tokenize → split →
-tag → numbers) and re-derives token surfaces from character spans at
-every stage.  :class:`FusedScanner` performs the same work in one
-traversal: one regex sweep yields the surfaces/kinds/spans as flat
-parallel lists (surfaces interned, so repeated clinical vocabulary
-shares storage across records), sentence boundaries and number spans
-are derived from those lists, each sentence group is tagged directly,
-and the annotations are stored in bulk.  From the same lists the
-scanner builds every sentence's view (texts, lowercased texts, tags,
-numbers, start index) and installs them on the document, so the
+The paper's GATE application runs four stages — tokenize, split,
+tag, numbers.  :class:`FusedScanner` performs them in one traversal:
+one regex sweep (:func:`scan_tokens`) yields the surfaces/kinds/spans
+as flat parallel lists (surfaces interned, so repeated clinical
+vocabulary shares storage across records), sentence boundaries
+(:func:`sentence_boundaries`) and number spans
+(:func:`collect_number_features`) are derived from those lists, each
+sentence group is tagged directly (:meth:`PosTagger.tag`), and the
+annotations are stored in bulk, in type order (Tokens, Sentences,
+Numbers).  From the same lists the scanner builds every sentence's
+view (texts, lowercased texts, tags, numbers, start index) with
+:func:`sentence_view` and installs them on the document, so the
 extractors never rebuild them from the annotations.
 
-Parity is by construction, not by reimplementation: the scanner calls
-the exact same building blocks as the staged components —
-:func:`scan_tokens` (behind :meth:`Tokenizer.tokenize_text`),
-:func:`sentence_boundaries`, :meth:`PosTagger.tag`,
-:func:`collect_number_features` and :func:`sentence_view` — and adds
-annotations in the same type order (Tokens, Sentences, Numbers), so the
-resulting documents and their views are identical to the staged
-pipeline's.  ``tests/nlp/test_scanner_parity.py`` holds the gate.
+``tests/nlp/test_scanner_parity.py`` holds the scanner's output to
+those building blocks, and ``golden_extractions.json`` pins its
+annotations and views byte for byte.
 """
 
 from __future__ import annotations
@@ -37,9 +34,8 @@ from repro import profiling
 class FusedScanner:
     """Tokens + sentences + POS + numbers in a single traversal."""
 
-    def __init__(self, split_on_newline: bool = True) -> None:
+    def __init__(self) -> None:
         self.tagger = PosTagger()
-        self.split_on_newline = split_on_newline
 
     def annotate(self, document: Document) -> None:
         with profiling.stage("tokenize"):
@@ -48,9 +44,7 @@ class FusedScanner:
             return
 
         with profiling.stage("sentence"):
-            bounds = sentence_boundaries(
-                document.text, spans, texts, self.split_on_newline
-            )
+            bounds = sentence_boundaries(document.text, spans, texts)
 
         with profiling.stage("pos"):
             # Sentences tile the tokens in order and end where a token

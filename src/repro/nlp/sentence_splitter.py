@@ -21,8 +21,6 @@ parser's job, and its failure triggers the paper's pattern fallback.
 from __future__ import annotations
 
 from repro.nlp.abbreviations import NON_TERMINAL_ABBREVIATIONS
-from repro.nlp.document import Annotation, Document
-from repro import profiling
 
 _TERMINALS = {".", "!", "?"}
 
@@ -31,13 +29,11 @@ def sentence_boundaries(
     text: str,
     spans: list[tuple[int, int]],
     texts: list[str],
-    split_on_newline: bool = True,
 ) -> list[tuple[int, int]]:
     """Sentence spans for a pre-tokenized text.
 
     *spans* and *texts* are the token character spans and surfaces in
-    document order.  Shared by the staged :class:`SentenceSplitter` and
-    the fused scanner so both produce identical boundaries.
+    document order.
     """
     out: list[tuple[int, int]] = []
     if not spans:
@@ -51,10 +47,7 @@ def sentence_boundaries(
                 text, spans, texts, i
             ):
                 continue
-        elif not (
-            split_on_newline
-            and "\n" in text[spans[i][1]:spans[i + 1][0]]
-        ):
+        elif "\n" not in text[spans[i][1]:spans[i + 1][0]]:
             continue
         out.append((sent_start, spans[i][1]))
         sent_start = spans[i + 1][0]
@@ -90,36 +83,9 @@ def _is_abbreviation_period(
     return not texts[i + 1][:1].isupper()
 
 
-class SentenceSplitter:
-    """Token-stream sentence splitter producing ``Sentence`` annotations."""
-
-    def __init__(self, split_on_newline: bool = True) -> None:
-        self.split_on_newline = split_on_newline
-
-    def annotate(self, document: Document) -> None:
-        """Add ``Sentence`` annotations covering every token."""
-        with profiling.stage("sentence"):
-            tokens = document.tokens()
-            if not tokens:
-                return
-            for start, end in self._boundaries(document, tokens):
-                document.annotations.add("Sentence", start, end)
-
-    def _boundaries(
-        self, document: Document, tokens: list[Annotation]
-    ) -> list[tuple[int, int]]:
-        spans = [(t.start, t.end) for t in tokens]
-        texts = [document.span_text(t) for t in tokens]
-        return sentence_boundaries(
-            document.text, spans, texts, self.split_on_newline
-        )
-
-
 def split_sentences(text: str) -> list[str]:
     """Convenience: sentence strings of *text* (for tests/examples)."""
-    from repro.nlp.tokenizer import Tokenizer
+    from repro.nlp.pipeline import analyze
 
-    doc = Document(text)
-    Tokenizer().annotate(doc)
-    SentenceSplitter().annotate(doc)
+    doc = analyze(text)
     return [doc.span_text(s) for s in doc.sentences()]

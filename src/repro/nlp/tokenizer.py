@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
-from repro.nlp.document import Document, TokenKind
-from repro import profiling
+from repro.nlp.document import TokenKind
 
 # Ordered alternation; names become TokenKind values.
 _TOKEN_RE = re.compile(
@@ -71,42 +69,6 @@ def scan_tokens(
     )
 
 
-@dataclass(frozen=True)
-class RawToken:
-    """A token before it is attached to a document."""
-
-    text: str
-    start: int
-    end: int
-    kind: TokenKind
-
-
-class Tokenizer:
-    """Rule-based tokenizer producing ``Token`` annotations."""
-
-    def tokenize_text(self, text: str) -> list[RawToken]:
-        """Tokenize *text* into :class:`RawToken` values.
-
-        The result covers every non-whitespace character exactly once.
-        """
-        texts, kinds, spans = scan_tokens(text)
-        return [
-            RawToken(text=surface, start=start, end=end, kind=kind)
-            for surface, kind, (start, end) in zip(texts, kinds, spans)
-        ]
-
-    def annotate(self, document: Document) -> None:
-        """Add ``Token`` annotations to *document*."""
-        with profiling.stage("tokenize"):
-            for raw in self.tokenize_text(document.text):
-                document.annotations.add(
-                    "Token",
-                    raw.start,
-                    raw.end,
-                    {"kind": raw.kind},
-                )
-
-
 def tokenize(text: str) -> list[str]:
     """Convenience: token strings of *text* (for tests and examples)."""
-    return [t.text for t in Tokenizer().tokenize_text(text)]
+    return scan_tokens(text)[0]

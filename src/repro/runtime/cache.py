@@ -236,9 +236,8 @@ class LinkageCache:
         # Both keys end in the per-token resolution classes and lead
         # with the parser configuration that changes outcomes:
         # ``max_linkages`` changes which linkage ``parse_one`` returns
-        # (extraction stops at the cap before cost-ranking them all),
-        # ``beam`` changes which disjuncts survive pruning.  The LRU
-        # key adds ``id(parser.dictionary)``, since dictionaries
+        # (extraction stops at the cap before cost-ranking them all).
+        # The LRU key adds ``id(parser.dictionary)``, since dictionaries
         # resolve tokens differently, so one cache can serve
         # differently-configured parsers.  The cross-run key must be
         # process-portable: the sidecar's signature check identifies
@@ -250,7 +249,6 @@ class LinkageCache:
             id(parser.dictionary),
             parser.max_linkages,
             parser.max_words,
-            getattr(parser, "beam", None),
         ) + tail
         entry = self._lru.get(key, _MISSING)
         entry = self._validate_timeout(parser, entry)
@@ -266,7 +264,7 @@ class LinkageCache:
         ):
             pkey = (
                 getattr(parser, "time_budget", None),
-                getattr(parser, "beam", None),
+                None,  # was the beam width; kept so old sidecars hit
                 parser.max_linkages,
                 parser.max_words,
             ) + tail

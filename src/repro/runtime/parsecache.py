@@ -14,7 +14,7 @@ This module persists those parse outcomes across runs.  A
 the compiled artifact (``<artifact>.parsecache``), holding plain-data
 parse outcomes keyed by the sentence's dictionary-resolution signature
 plus every parser setting that can change the outcome (parse budget,
-beam width, linkage caps).  Like :class:`CompiledArtifact` it is
+linkage caps).  Like :class:`CompiledArtifact` it is
 versioned and fingerprinted: a sidecar written by a different cache
 format, different lexicon sources, or a different dictionary is
 rejected with :class:`ParseCacheError` and rebuilt empty — never

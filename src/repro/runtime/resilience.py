@@ -561,7 +561,6 @@ class CorpusRunner:
                 else 0.0
             ),
             "match_bitset_hits": parser.get("match_bitset_hits", 0),
-            "beam_pruned": parser.get("beam_pruned", 0),
             "parse_timeouts": parser.get("timeouts", 0),
             "prune_ratio": (
                 1.0 - parser.get("disjuncts_after", 0) / before

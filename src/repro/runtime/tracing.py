@@ -357,8 +357,8 @@ def build_manifest(
     The manifest makes two trace files comparable: same config hash +
     same dictionary signature + same model fingerprints means any
     output difference is a code change, not an input change.  The
-    parser counters (bitset hits, persistent cache hits/misses, beam
-    prunes) record *how* the parses were produced, so a perf
+    parser counters (candidates tried, persistent cache hits/misses,
+    prune counts) record *how* the parses were produced, so a perf
     regression between two byte-identical runs is attributable.
     ``stage_stats`` (per-stage exclusive seconds and entry counts from
     :mod:`repro.profiling`, present when the run profiled stages)

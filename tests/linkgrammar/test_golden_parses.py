@@ -44,7 +44,7 @@ class TestGoldenParses:
         assert parser.stats.sentences == len(SHAPES)
         assert 0 < parser.stats.match_bitset_hits <= MAX_CANDIDATES_TRIED
 
-    def test_string_table_path_parses_as_pinned(self):
-        parser = LinkGrammarParser(bitset=False)
+    def test_unpruned_sample_parses_as_pinned(self):
+        parser = LinkGrammarParser(prune=False)
         assert mismatches(parser, SHAPES[::6]) == []
-        assert parser.stats.match_bitset_hits == 0
+        assert parser.stats.disjuncts_after == parser.stats.disjuncts_before

@@ -12,6 +12,8 @@ from repro.linkgrammar import (
     LinkGrammarParser,
     Linkage,
 )
+from repro.linkgrammar.connectors import connectors_match
+from repro.linkgrammar.dictionary import LEFT_WALL
 from repro.linkgrammar.parser import _ParseSession
 
 FIGURE1 = (
@@ -219,44 +221,59 @@ class TestCustomDictionary:
 
 
 class TestBitsetParity:
-    """The packed-bitset match path is an optimization, not a
-    behaviour: every sentence must produce identical linkages (and
-    identical failures) with it on or off."""
+    """The parser tests whether two connectors link with one bit of
+    the dictionary's packed tables, and prunes with per-disjunct masks
+    over the same bit ids.  The bit must say exactly what
+    :func:`connectors_match` says; mask pruning must leave every
+    linkage and failure of the unpruned parser (``prune=False``)
+    unchanged and prune exactly the disjuncts it always has."""
 
     SENTENCES = TestLinkageInvariants.SENTENCES
+
+    def test_bit_test_equals_connectors_match(self):
+        dictionary = Dictionary()
+        disjuncts = [
+            d for ds in dictionary._disjunct_lists() for d in ds
+        ]
+        plus = {c for d in disjuncts for c in d.right}
+        minus = {c for d in disjuncts for c in d.left}
+        session = _ParseSession(
+            [LEFT_WALL],
+            [dictionary.disjuncts(LEFT_WALL)],
+            dictionary.bitset_tables(),
+        )
+        # Every label pair of the dictionary's match table (625).
+        assert {(p.label, m.label) for p in plus for m in minus} == set(
+            dictionary.match_tables()[0]
+        )
+        assert [
+            (p.label, m.label)
+            for p in plus
+            for m in minus
+            if session._links(p.label, m.label) != connectors_match(p, m)
+        ] == []
 
     @pytest.mark.parametrize(
         "words", SENTENCES, ids=lambda w: " ".join(w[:4])
     )
     def test_linkages_identical(self, words):
-        fast = LinkGrammarParser(bitset=True)
-        slow = LinkGrammarParser(bitset=False)
-        assert fast.parse(words) == slow.parse(words)
-        assert fast.stats.match_bitset_hits > 0
-        assert slow.stats.match_bitset_hits == 0
+        assert LinkGrammarParser().parse(words) == LinkGrammarParser(
+            prune=False
+        ).parse(words)
 
     def test_failures_identical(self):
         bad = "wine glass pressure the of .".split()
-        fast = LinkGrammarParser(bitset=True)
-        slow = LinkGrammarParser(bitset=False)
-        with pytest.raises(ParseFailure) as fast_err:
-            fast.parse(bad)
-        with pytest.raises(ParseFailure) as slow_err:
-            slow.parse(bad)
-        assert fast_err.value.reason == slow_err.value.reason
+        for parser in (LinkGrammarParser(), LinkGrammarParser(prune=False)):
+            with pytest.raises(ParseFailure, match="no complete linkage"):
+                parser.parse(bad)
 
     def test_prune_counts_identical(self):
-        fast = LinkGrammarParser(bitset=True)
-        slow = LinkGrammarParser(bitset=False)
-        fast.parse(FIGURE1)
-        slow.parse(FIGURE1)
-        assert (
-            fast.stats.disjuncts_after == slow.stats.disjuncts_after
-        )
-        assert (
-            fast.stats.disjuncts_before
-            == slow.stats.disjuncts_before
-        )
+        # Pinned counts: pruning that keeps more, or fewer, disjuncts
+        # moves them.
+        parser = LinkGrammarParser()
+        parser.parse(FIGURE1)
+        assert parser.stats.disjuncts_before == 11045
+        assert parser.stats.disjuncts_after == 930
 
 
 class TestSessionLifetime:
@@ -280,39 +297,3 @@ class TestSessionLifetime:
             assert sessions and sessions[0]() is None
         finally:
             gc.enable()
-
-
-class TestBeamPruning:
-    def test_off_by_default(self):
-        parser = LinkGrammarParser()
-        parser.parse(FIGURE1)
-        assert parser.beam is None
-        assert parser.stats.beam_pruned == 0
-
-    def test_wide_beam_changes_nothing(self):
-        # A beam wider than any cost spread admits every disjunct,
-        # so the linkages must match the unpruned parser exactly.
-        wide = LinkGrammarParser(beam=1000)
-        plain = LinkGrammarParser()
-        assert wide.parse(FIGURE1) == plain.parse(FIGURE1)
-
-    def test_tight_beam_prunes_and_still_parses(self):
-        tight = LinkGrammarParser(beam=0)
-        words = "she quit smoking five years ago .".split()
-        linkage = tight.parse_one(words)
-        assert linkage is not None
-        assert tight.stats.beam_pruned > 0
-
-    def test_tight_beam_can_lose_linkages(self):
-        # beam=0 keeps only cheapest-cost disjuncts per word; on a
-        # long coordinated sentence that deletes the only complete
-        # linkage — which is exactly why beam pruning is opt-in and
-        # part of the cache key rather than a transparent fast path.
-        tight = LinkGrammarParser(beam=0)
-        with pytest.raises(ParseFailure):
-            tight.parse(FIGURE1)
-        assert tight.stats.beam_pruned > 0
-
-    def test_negative_beam_rejected(self):
-        with pytest.raises(ValueError):
-            LinkGrammarParser(beam=-1)

@@ -179,6 +179,8 @@ class TestDisjunctMasks:
         assert d.disjunct_masks() is not before
 
     def test_unlinkable_label_is_pruned_like_the_table_path(self):
+        # Pinned counts: pruning that keeps more, or fewer, disjuncts
+        # moves them.
         d = Dictionary(
             entries=[
                 ("###LEFT-WALL###", "Wd+"),
@@ -187,12 +189,11 @@ class TestDisjunctMasks:
             ],
             tag_defaults=[],
         )
-        for bitset in (True, False):
-            parser = LinkGrammarParser(dictionary=d, bitset=bitset)
-            assert len(parser.parse(["one", "two"])) == 1
-            # "Zz-" has no partner anywhere, so it never survives.
-            assert parser.stats.disjuncts_before == 5
-            assert parser.stats.disjuncts_after == 4
+        parser = LinkGrammarParser(dictionary=d)
+        assert len(parser.parse(["one", "two"])) == 1
+        # "Zz-" has no partner anywhere, so it never survives.
+        assert parser.stats.disjuncts_before == 5
+        assert parser.stats.disjuncts_after == 4
 
     def test_label_missing_from_the_tables_is_never_linked(self):
         # No word has a left connector, so the match tables are empty
@@ -201,8 +202,7 @@ class TestDisjunctMasks:
             entries=[("###LEFT-WALL###", "Wd+"), ("one", "{Q+}")],
             tag_defaults=[],
         )
-        for bitset in (True, False):
-            parser = LinkGrammarParser(dictionary=d, bitset=bitset)
-            with pytest.raises(ParseFailure, match="no complete linkage"):
-                parser.parse(["one"])
-            assert parser.stats.disjuncts_after == 1
+        parser = LinkGrammarParser(dictionary=d)
+        with pytest.raises(ParseFailure, match="no complete linkage"):
+            parser.parse(["one"])
+        assert parser.stats.disjuncts_after == 1

@@ -1,19 +1,30 @@
-"""Fused scanner vs staged pipeline: annotation-for-annotation parity.
+"""The fused scanner computes exactly what its building blocks do.
 
-The fused scanner exists purely for speed — one traversal instead of
-four — so its contract is byte-identical output: same annotation
-types, ids, spans, and features as the staged
-tokenizer → splitter → tagger → number pipeline, on any text, and the
-same sentence views, whether the scanner builds them or
-:meth:`Document.sentence_views` builds them on first use.
+The scanner runs the paper's four GATE stages in one traversal, so
+its contract is that every annotation and sentence view it produces
+is what the stages' building blocks compute on the same text:
+
+* the Token annotations are :func:`scan_tokens`' surfaces, kinds and
+  spans;
+* the Sentence spans are :func:`sentence_boundaries` over them;
+* each sentence's tags are :meth:`PosTagger.tag` over its words and
+  kinds;
+* the Number annotations are :func:`collect_number_features` over all
+  tokens;
+* the sentence views align with those annotations.
+
+``golden_extractions.json`` pins the same documents byte for byte.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nlp.document import Document
+from repro.nlp.numbers import collect_number_features
 from repro.nlp.pipeline import default_pipeline
+from repro.nlp.pos_tagger import PosTagger
+from repro.nlp.sentence_splitter import sentence_boundaries
+from repro.nlp.tokenizer import scan_tokens
 from repro.synth import CohortSpec, RecordGenerator
 from repro.synth.packs import STYLE_PACKS
 
@@ -34,36 +45,62 @@ ADVERSARIAL = [
 ]
 
 
-def _dump(document):
-    annotations = [
-        (a.type, a.id, a.start, a.end, dict(a.features))
-        for a in sorted(
-            document.annotations.all(),
-            key=lambda a: (a.type, a.id),
+def assert_scan_matches_building_blocks(text):
+    document = default_pipeline().process_text(text)
+    texts, kinds, spans = scan_tokens(text)
+
+    tokens = document.tokens()
+    assert [(t.start, t.end) for t in tokens] == spans
+    assert [document.span_text(t) for t in tokens] == texts
+    assert [t.features["kind"] for t in tokens] == kinds
+
+    sentences = document.sentences()
+    bounds = sentence_boundaries(text, spans, texts) if spans else []
+    assert [(s.start, s.end) for s in sentences] == bounds
+    assert all(s.features == {} for s in sentences)
+
+    tagger = PosTagger()
+    for sentence in sentences:
+        inside = [
+            i for i, (start, end) in enumerate(spans)
+            if sentence.start <= start and end <= sentence.end
+        ]
+        assert [
+            t.features["pos"] for t in document.tokens(sentence)
+        ] == tagger.tag(
+            [texts[i] for i in inside], [kinds[i] for i in inside]
         )
-    ]
-    views = [
-        (
-            view.sentence.id,
-            [t.id for t in view.tokens],
-            view.texts,
-            view.lowers,
-            view.tags,
-            [n.id for n in view.numbers],
-            view.token_index_by_start,
-        )
-        for view in document.sentence_views()
-    ]
-    return annotations, views
+    assert sum(len(document.tokens(s)) for s in sentences) == len(tokens)
+
+    assert [
+        (n.start, n.end, n.features) for n in document.numbers()
+    ] == collect_number_features(texts, kinds, spans)
+
+    assert_views_align(document)
 
 
-def _process(text, fused):
-    return _dump(default_pipeline(fused=fused).process_text(text))
+def assert_views_align(document):
+    views = document.sentence_views()
+    sentences = document.sentences()
+    assert [v.sentence for v in views] == sentences
+    for view, sentence in zip(views, sentences):
+        assert view.tokens == document.tokens(sentence)
+        assert view.texts == [
+            document.span_text(t) for t in view.tokens
+        ]
+        assert view.lowers == [t.lower() for t in view.texts]
+        assert view.tags == [t.features["pos"] for t in view.tokens]
+        assert view.numbers == document.numbers(sentence)
+        assert view.token_index_by_start == {
+            t.start: i for i, t in enumerate(view.tokens)
+        }
+    # Cached: the second call returns the same view objects.
+    assert document.sentence_views() is views
 
 
 @pytest.mark.parametrize("text", ADVERSARIAL)
 def test_adversarial_texts_identical(text):
-    assert _process(text, fused=True) == _process(text, fused=False)
+    assert_scan_matches_building_blocks(text)
 
 
 def test_cohort_sections_identical():
@@ -77,10 +114,9 @@ def test_cohort_sections_identical():
     )
     for record in records:
         for section in record.sections:
-            text = record.section_text(section.name)
-            assert _process(text, fused=True) == _process(
-                text, fused=False
-            ), section.name
+            assert_scan_matches_building_blocks(
+                record.section_text(section.name)
+            )
 
 
 def test_style_pack_samples_identical():
@@ -88,10 +124,9 @@ def test_style_pack_samples_identical():
         generator = RecordGenerator(style=pack.style, seed=31)
         record, _ = generator.generate("P-0001")
         for section in record.sections:
-            text = record.section_text(section.name)
-            assert _process(text, fused=True) == _process(
-                text, fused=False
-            ), (pack.name, section.name)
+            assert_scan_matches_building_blocks(
+                record.section_text(section.name)
+            )
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,41 +141,28 @@ def test_style_pack_samples_identical():
     )
 )
 def test_random_texts_identical(text):
-    assert _process(text, fused=True) == _process(text, fused=False)
+    assert_scan_matches_building_blocks(text)
 
 
 def test_sentence_views_align_with_annotations():
     text = "blood pressure is 144/90. pulse of 84.\nweighs 154 lbs."
     document = default_pipeline().process_text(text)
-    views = document.sentence_views()
-    assert [v.sentence.id for v in views] == [
-        s.id for s in document.sentences()
-    ]
-    assert sum(len(v.tokens) for v in views) == len(document.tokens())
-    for view in views:
-        assert view.texts == [
-            document.span_text(t) for t in view.tokens
-        ]
-        assert view.lowers == [t.lower() for t in view.texts]
-        for i, token in enumerate(view.tokens):
-            assert view.token_index_by_start[token.start] == i
-    # Cached: the second call returns the same view objects.
-    assert document.sentence_views() is views
+    assert len(document.sentence_views()) == 3
+    assert_views_align(document)
 
 
 def test_number_across_a_sentence_break_is_in_no_view():
     text = "she is gravida two\nthree children at home. Pulse 84."
-    for fused in (True, False):
-        document = default_pipeline(fused=fused).process_text(text)
-        numbers = document.numbers()
-        assert [(n.start, n.end, n.features["value"]) for n in numbers] == [
-            (15, 24, 5.0),
-            (49, 51, 84.0),
-        ]
-        assert [
-            [(n.start, n.end) for n in view.numbers]
-            for view in document.sentence_views()
-        ] == [[], [], [(49, 51)]]
+    document = default_pipeline().process_text(text)
+    numbers = document.numbers()
+    assert [(n.start, n.end, n.features["value"]) for n in numbers] == [
+        (15, 24, 5.0),
+        (49, 51, 84.0),
+    ]
+    assert [
+        [(n.start, n.end) for n in view.numbers]
+        for view in document.sentence_views()
+    ] == [[], [], [(49, 51)]]
 
 
 def test_default_pipeline_is_fused():
@@ -149,4 +171,3 @@ def test_default_pipeline_is_fused():
     components = default_pipeline().components
     assert len(components) == 1
     assert isinstance(components[0], FusedScanner)
-    assert len(default_pipeline(fused=False).components) == 4

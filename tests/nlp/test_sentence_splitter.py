@@ -1,8 +1,7 @@
 """Sentence splitter tests over clinical dictation shapes."""
 
-from repro.nlp.sentence_splitter import SentenceSplitter, split_sentences
-from repro.nlp.document import Document
-from repro.nlp.tokenizer import Tokenizer
+from repro.nlp.pipeline import analyze
+from repro.nlp.sentence_splitter import split_sentences
 
 
 class TestTerminalPunctuation:
@@ -53,13 +52,6 @@ class TestNewlineFragments:
         text = "Vitals: Blood pressure is 142/78\nHEENT: PERRLA"
         assert len(split_sentences(text)) == 2
 
-    def test_newline_disabled(self):
-        text = "first line\nsecond line"
-        doc = Document(text)
-        Tokenizer().annotate(doc)
-        SentenceSplitter(split_on_newline=False).annotate(doc)
-        assert len(doc.sentences()) == 1
-
     def test_abbreviation_before_newline_still_breaks(self):
         text = "Weight 154 lbs.\nPulse of 96."
         assert len(split_sentences(text)) == 2
@@ -71,9 +63,7 @@ class TestCoverage:
             "Ms. 2 is a 50-year-old woman. Blood pressure is 144/90, "
             "pulse of 84.\nSocial History: Smoking history, 15 years."
         )
-        doc = Document(text)
-        Tokenizer().annotate(doc)
-        SentenceSplitter().annotate(doc)
+        doc = analyze(text)
         token_count = 0
         for sent in doc.sentences():
             token_count += len(doc.tokens(sent))
@@ -81,9 +71,7 @@ class TestCoverage:
 
     def test_sentences_are_disjoint_and_ordered(self):
         text = "One here. Two there. Three everywhere."
-        doc = Document(text)
-        Tokenizer().annotate(doc)
-        SentenceSplitter().annotate(doc)
+        doc = analyze(text)
         sents = doc.sentences()
         assert len(sents) == 3
         for a, b in zip(sents, sents[1:]):

@@ -163,6 +163,34 @@ class TestSidecarLifecycle:
         )
         assert not loaded and len(rebuilt) == 0
 
+    def test_entry_under_the_beam_slot_layout_is_served(self, tmp_path):
+        # Sidecars written while the parser had a beam option key each
+        # outcome (budget, beam, max_linkages, max_words) + resolution
+        # classes, with None in the beam slot; they must keep hitting.
+        parser, cache, persistent = _warm_stack()
+        cold = cache.lookup(parser, SENTENCE, TAGS)
+        (outcome,) = persistent.entries.values()
+        classes = ("pulse", "of", "#NUM#", ".")
+        assert LinkageCache._resolution_tail(parser, SENTENCE, TAGS) == (
+            classes
+        )
+        path = tmp_path / "old.parsecache"
+        old = PersistentParseCache.empty(
+            parser.dictionary.signature(), path=path
+        )
+        old.put((None, None, 16, 40) + classes, outcome)
+        old.save()
+
+        fresh = LinkGrammarParser()
+        loaded, ok = PersistentParseCache.load_or_create(
+            path, fresh.dictionary.signature()
+        )
+        assert ok
+        warm = LinkageCache(persistent=loaded).lookup(fresh, VARIANT, TAGS)
+        assert fresh.stats.persistent_hits == 1
+        assert fresh.stats.sentences == 0  # served, not parsed
+        assert warm.links == cold.links and warm.cost == cold.cost
+
     def test_sidecar_path_is_suffixed(self):
         assert str(sidecar_path("/x/artifact.pkl")).endswith(
             "artifact.pkl.parsecache"

@@ -61,7 +61,7 @@ class TestGuardedRatio:
 
 
 class TestBenchParseSchema:
-    LANES = ("cold", "bitset", "warm_first", "warm", "combined")
+    LANES = ("cold", "warm_first", "warm", "combined")
 
     def test_lanes_and_fields(self):
         payload = _load("BENCH_parse.json")
@@ -91,7 +91,7 @@ class TestBenchParseSchema:
 
 
 class TestBenchPipelineSchema:
-    SERIAL_LANES = ("staged", "fused", "fused_profiled")
+    SERIAL_LANES = ("fused", "fused_profiled")
 
     def test_lanes_and_fields(self):
         payload = _load("BENCH_pipeline.json")
@@ -109,18 +109,9 @@ class TestBenchPipelineSchema:
             "fused_parallel.total_seconds",
         )
 
-    def test_speedups_are_guarded(self):
-        payload = _load("BENCH_pipeline.json")
-        for field in (
-            "warm_speedup_fused_vs_staged",
-            "cold_speedup_fused_vs_staged",
-        ):
-            _assert_ratio(payload[field], field)
-
     def test_gate_invariants_hold_in_committed_payload(self):
         payload = _load("BENCH_pipeline.json")
-        staged, fused = payload["staged"], payload["fused"]
-        assert fused["warm_seconds"] <= 0.7 * staged["warm_seconds"]
+        fused = payload["fused"]
         profiled = payload["fused_profiled"]
         extract = profiled["extract_seconds"]
         assert abs(payload["stage_seconds_sum"] - extract) <= (

@@ -153,12 +153,12 @@ class TestParityOnRecoveryPaths:
 
     def test_automaton_parity_on_recovery_texts(self):
         from repro.extraction.terms import TermExtractor
-        from tests.ontology.test_automaton import _uncovered_hits
+        from tests.ontology.test_automaton import uncovered_hits
 
         extractor = TermExtractor()
         total = 0
         for text in RECOVERY_TEXTS:
-            hits, missed = _uncovered_hits(extractor, text)
+            hits, missed = uncovered_hits(extractor, text)
             assert missed == [], text
             total += hits
         assert total > 0

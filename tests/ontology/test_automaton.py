@@ -43,7 +43,7 @@ def automaton(ontology):
     return TermAutomaton.from_ontology(ontology)
 
 
-def _uncovered_hits(extractor, text):
+def uncovered_hits(extractor, text):
     """(probe hits, hits at starts the automaton does not propose).
 
     Probes every start of every sentence view of *text* with the
@@ -114,7 +114,7 @@ class TestScan:
         extractor = TermExtractor()
         total = 0
         for text in HOSTILE_TEXTS:
-            hits, missed = _uncovered_hits(extractor, text)
+            hits, missed = uncovered_hits(extractor, text)
             assert missed == [], text
             total += hits
         assert total > 0
@@ -132,7 +132,7 @@ class TestScan:
         total = 0
         for record in records:
             for section in record.sections:
-                hits, missed = _uncovered_hits(
+                hits, missed = uncovered_hits(
                     extractor, record.section_text(section.name)
                 )
                 assert missed == [], (record.patient_id, section.name)
@@ -167,5 +167,5 @@ class TestScan:
         # The extractor builds its automaton from the subset.
         extractor = TermExtractor(ontology=OntologyStore(subset))
         assert extractor.automaton is not None
-        _, missed = _uncovered_hits(extractor, text)
+        _, missed = uncovered_hits(extractor, text)
         assert missed == [], text

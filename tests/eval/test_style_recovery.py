@@ -14,8 +14,9 @@ Three layers:
    automaton were both touched by surfaces the fixes introduced
    (chart-speak numerics, multi-word surgical phrases), so their
    contracts are re-asserted on exactly those texts: the scanner
-   computes what its building blocks do, and the automaton proposes
-   every start where the term probe hits.
+   computes what its building blocks do, the automaton proposes
+   every start where the term probe hits, and the term scan finds
+   what probing every start finds.
 """
 
 import json
@@ -161,6 +162,20 @@ class TestParityOnRecoveryPaths:
             hits, missed = uncovered_hits(extractor, text)
             assert missed == [], text
             total += hits
+        assert total > 0
+
+    def test_automaton_parity_with_v1_assignment(self):
+        # the extended POS patterns must scan identically with and
+        # without the candidate skip under v1 assignment too
+        # (use_synonyms only changes routing, never the scan)
+        from tests.ontology.test_automaton import extractor_pair
+
+        fast, every_start = extractor_pair(use_synonyms=False)
+        total = 0
+        for text in RECOVERY_TEXTS:
+            hits = fast.extract_terms(text)
+            assert hits == every_start.extract_terms(text), text
+            total += len(hits)
         assert total > 0
 
 

@@ -62,6 +62,20 @@ def uncovered_hits(extractor, text):
     return hits, missed
 
 
+def extractor_pair(**kwargs):
+    """(automaton-driven extractor, the same one probing every start).
+
+    With ``automaton`` set to None the scan resolves every position
+    through ``_match_at`` — the path an ontology without a compiled
+    view takes — so it is the reference the candidate skip must match.
+    """
+    fast = TermExtractor(**kwargs)
+    every_start = TermExtractor(**kwargs)
+    assert fast.automaton is not None
+    every_start.automaton = None
+    return fast, every_start
+
+
 class TestBuild:
     def test_full_vocabulary_fits(self, automaton):
         assert not automaton.degraded
@@ -169,3 +183,16 @@ class TestScan:
         assert extractor.automaton is not None
         _, missed = uncovered_hits(extractor, text)
         assert missed == [], text
+
+
+class TestExtractorParity:
+    """Automaton-driven scan == probe-every-start scan, bit for bit."""
+
+    def test_hostile_texts_identical_hits(self):
+        fast, every_start = extractor_pair()
+        total = 0
+        for text in HOSTILE_TEXTS:
+            hits = fast.extract_terms(text)
+            assert hits == every_start.extract_terms(text), text
+            total += len(hits)
+        assert total > 0

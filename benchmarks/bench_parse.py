@@ -48,11 +48,9 @@ def _cohort(size: int):
     )
 
 
-def _stack(persistent=None) -> RecordExtractor:
-    """An extraction stack, optionally over a persistent sidecar."""
+def _stack() -> RecordExtractor:
+    """A fresh extraction stack (the runner binds any sidecar)."""
     caches = ExtractionCaches()
-    if persistent is not None:
-        caches.linkages.attach_persistent(persistent)
     numeric = NumericExtractor(
         parser=LinkGrammarParser(),
         document_cache=caches.documents,
@@ -63,7 +61,7 @@ def _stack(persistent=None) -> RecordExtractor:
 
 def _lane(records, persistent=None):
     """One serial corpus run; returns (results, lane stats)."""
-    runner = CorpusRunner(_stack(persistent), parse_cache=persistent)
+    runner = CorpusRunner(_stack(), parse_cache=persistent)
     started = time.perf_counter()
     results = runner.run(records)
     elapsed = time.perf_counter() - started

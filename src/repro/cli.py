@@ -314,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
              "batch `repro extract` run)",
     )
     serve.add_argument(
-        "--fleet", action="store_true",
-        help="share --db between several service instances via "
-             "SQLite WAL instead of per-shard partitions",
-    )
-    serve.add_argument(
         "--run-id", default="", metavar="ID",
         help="run id recorded with server-side quarantine rows",
     )
@@ -714,10 +709,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             f"{stats['persistent_parse_misses']} misses "
             f"({stats['persistent_parse_hit_rate']:.1%} hit rate)"
         )
-        print(
-            f"parser fast paths: "
-            f"{stats['match_bitset_hits']} bitset match hits"
-        )
+        print(f"parser: {stats['match_bitset_hits']} candidates tried")
         print(
             f"warm start: {'on' if stats['warm_start'] else 'off'}; "
             f"worker init: {stats['worker_init_seconds']:.3f}s over "
@@ -764,9 +756,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.models is not None:
         loaded = extractor.load_models(args.models)
         print(f"loaded {loaded} categorical models from {args.models}")
-    if args.fleet and args.db is None:
-        print("error: --fleet requires --db", file=sys.stderr)
-        return 2
     config = ServiceConfig(
         socket_path=str(args.socket) if args.socket else None,
         host=args.host,
@@ -778,7 +767,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_s=args.deadline,
         shards=args.shards,
         store_path=str(args.db) if args.db else None,
-        fleet=args.fleet,
         run_id=args.run_id,
     )
     fault_plan = (
@@ -818,10 +806,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
     if config.shards > 1 or config.store_path is not None:
-        mode = "fleet/WAL" if config.fleet else "partitioned"
         store = config.store_path or "none"
         print(
-            f"shards: {config.shards} ({mode} store: {store})",
+            f"shards: {config.shards} (partitioned store: {store})",
             flush=True,
         )
     # Joining in slices keeps the main thread responsive to the

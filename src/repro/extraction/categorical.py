@@ -106,7 +106,9 @@ class SentenceFeatureExtractor:
         self.document_cache = document_cache or DocumentCache(pipeline)
         self.parser = parser or LinkGrammarParser(max_linkages=1)
         self.lemmatizer = lemmatizer or Lemmatizer()
-        self.linkage_cache = linkage_cache or LinkageCache()
+        self.linkage_cache = (
+            LinkageCache() if linkage_cache is None else linkage_cache
+        )
 
     def extract(self, text: str) -> frozenset[str]:
         """Feature set of *text* (all sentences pooled).

@@ -194,7 +194,9 @@ class NumericExtractor:
         # signature of the token sequence, so it is never invalidated
         # between records (consistent dictation styles repeat sentence
         # shapes across a whole cohort).
-        self.linkage_cache = linkage_cache or LinkageCache()
+        self.linkage_cache = (
+            LinkageCache() if linkage_cache is None else linkage_cache
+        )
         #: Per-attribute alternation of ``regex_patterns``, used purely
         #: as a no-match prefilter (the original ordered per-pattern
         #: loop still decides which pattern fires and how out-of-range

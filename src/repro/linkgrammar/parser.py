@@ -88,8 +88,8 @@ class ParserStats:
     #: Candidate disjuncts the region recurrence tried before it
     #: found the first witness of each region.
     match_bitset_hits: int = 0
-    #: Sentence shapes served from / missed in the persistent
-    #: cross-run parse cache (see repro.runtime.parsecache).
+    #: Sentence shapes the parse store answered / missed after an
+    #: in-memory front miss (see repro.runtime.parsecache).
     persistent_hits: int = 0
     persistent_misses: int = 0
 

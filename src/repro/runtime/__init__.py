@@ -2,8 +2,11 @@
 
 The batch engine behind ``repro extract --workers N``:
 
-* :mod:`repro.runtime.cache` — bounded LRU document and cross-record
-  linkage caches shared by every extractor in one engine;
+* :mod:`repro.runtime.cache` — the bounded document cache and the
+  cross-record linkage cache shared by every extractor in one engine;
+* :mod:`repro.runtime.parsecache` — the parse store behind every
+  linkage cache: one key, one outcome format, held in memory or in a
+  sidecar file that carries parses across runs;
 * :mod:`repro.runtime.metrics` — monotonic timers and counters, merged
   across worker processes and dumped as JSON by the benchmarks;
 * :mod:`repro.runtime.compiled` — ahead-of-time compiled artifacts

@@ -1,27 +1,30 @@
-"""Bounded LRU caches for the extraction hot path.
+"""Bounded caches for the extraction hot path.
 
-Two cache layers feed the batch engine:
+Two caches feed the batch engine:
 
 * :class:`DocumentCache` — section text → processed
   :class:`~repro.nlp.document.Document`.  Several attributes read the
   same section (the eight numeric attributes span three sections; the
   term and categorical extractors revisit them), so one record used to
   run the NLP pipeline on identical text up to eight times.
-* :class:`LinkageCache` — token-sequence signature → parse outcome.
-  Keys are built from :meth:`Dictionary.resolution_key
+* :class:`LinkageCache` — sentence shape → parse outcome: a bounded
+  in-memory front over one
+  :class:`~repro.runtime.parsecache.PersistentParseCache` store, in
+  memory or sidecar-backed.  Keys are built from
+  :meth:`Dictionary.resolution_key
   <repro.linkgrammar.dictionary.Dictionary.resolution_key>`, the
   equivalence class of the dictionary lookup, so two sentences that
   differ only in values ("pulse of 84" / "pulse of 96") share one
   parse: the link structure, costs, and token map depend only on the
-  disjunct sequence, and the word list is rebuilt per hit.  Unlike the
-  old per-record cache this one survives across records — consistent
-  dictation styles repeat sentence shapes across a whole cohort.
+  disjunct sequence, and the word list is rebuilt per hit.  It
+  survives across records — consistent dictation styles repeat
+  sentence shapes across a whole cohort.
 
-Both caches are bounded (LRU eviction) and expose additive
-hit/miss/eviction counters that the corpus runner merges across
-worker processes.  Caches are not thread-safe and assume the shared
-:class:`Dictionary` is not mutated after the first parse; call
-:meth:`LinkageCache.clear` after ``Dictionary.add``.
+Both caches expose additive hit/miss/eviction counters that the
+corpus runner merges across worker processes.  Caches are not
+thread-safe.  A parse store refuses a dictionary other than the one
+it holds parses for, which includes a dictionary changed by
+``Dictionary.add`` after the first parse.
 """
 
 from __future__ import annotations
@@ -32,11 +35,18 @@ from typing import Any, Hashable, Sequence
 from repro.errors import ParseFailure, ParseTimeout
 from repro.linkgrammar.dictionary import LEFT_WALL
 from repro.linkgrammar.linkage import Link, Linkage
-from repro.linkgrammar.parser import _STRIP_TOKENS, LinkGrammarParser
+from repro.linkgrammar.parser import LinkGrammarParser
 from repro.nlp.document import Document
 from repro.nlp.pipeline import Pipeline, default_pipeline
-from repro.runtime import parsecache, tracing
-from repro.runtime.parsecache import PersistentParseCache
+from repro.runtime import tracing
+from repro.runtime.parsecache import (
+    OUTCOME_FAIL,
+    OUTCOME_OK,
+    OUTCOME_TIMEOUT,
+    Outcome,
+    PersistentParseCache,
+    parse_key,
+)
 
 _MISSING = object()
 
@@ -157,70 +167,50 @@ class DocumentCache:
         return self._lru.stats()
 
 
-#: Cached marker for sentences the parser cannot link.  A timed-out
-#: sentence is cached as ``(_PARSE_TIMED_OUT, budget)`` — a distinct
-#: marker so traces can tell "no linkage exists" apart from "the
-#: budget ran out", carrying the budget it was recorded under so a
-#: later lookup with a *larger* budget re-parses instead of being
-#: served a stale timeout (timeouts are only monotone downwards: a
-#: smaller-or-equal budget would also have timed out).
-_PARSE_FAILED = object()
-_PARSE_TIMED_OUT = object()
+#: Entries the in-memory front of a :class:`LinkageCache` holds.  A
+#: traced batch-mix run reached about 213 distinct sentence shapes.
+FRONT_SIZE = 4096
+
+
+def _front_entry(outcome: Outcome) -> Outcome:
+    """The front's form of a store outcome.
+
+    ``fail`` and ``timeout`` outcomes are held as they are.  An ``ok``
+    outcome gets its links rebuilt and a fresh distance memo: memos
+    hold Linkage-derived state that must never leave the process.
+    """
+    if outcome[0] != OUTCOME_OK:
+        return outcome
+    _, links, cost, token_map = outcome
+    return (
+        OUTCOME_OK,
+        tuple(Link(left, right, label) for left, right, label in links),
+        cost,
+        token_map,
+        {},
+    )
 
 
 class LinkageCache:
-    """Cross-record parse cache keyed by dictionary-resolution signature.
+    """Cross-record parse cache: an in-memory front over a parse store.
 
-    Stores the structural outcome of ``parser.parse_one`` — the link
-    set, cost, and token map, or the fact that parsing failed — and
-    rebuilds a fresh :class:`Linkage` with the caller's actual words
-    on every hit, so cached values are never aliased or mutated.
-
-    An optional :class:`~repro.runtime.parsecache.PersistentParseCache`
-    (see :meth:`attach_persistent`) adds a cross-run layer underneath
-    the LRU: misses probe it before parsing, hits are promoted into
-    the LRU, and every fresh outcome is written back so the sidecar
-    accumulates the corpus' sentence shapes append-only.
+    Both layers use the store's key (see
+    :func:`~repro.runtime.parsecache.parse_key`), so sentences that
+    differ only in values share one parse.  A front miss asks the
+    :class:`~repro.runtime.parsecache.PersistentParseCache`; a store
+    miss parses and records the outcome in both layers, so a
+    sidecar-backed store accumulates the corpus' sentence shapes
+    append-only.  Every hit rebuilds a fresh :class:`Linkage` with the
+    caller's actual words, so cached values are never aliased or
+    mutated.  :meth:`clear` empties the front only.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 4096,
-        persistent: "PersistentParseCache | None" = None,
-    ) -> None:
-        self._lru = LRUCache(maxsize, name="linkages")
-        self.persistent = persistent
-
-    def attach_persistent(
-        self, cache: "PersistentParseCache | None"
-    ) -> None:
-        """Attach (or detach, with ``None``) the cross-run layer."""
-        self.persistent = cache
-
-    # ------------------------------------------------------------- keys
-
-    @staticmethod
-    def _resolution_tail(
-        parser: LinkGrammarParser,
-        words: Sequence[str],
-        tags: Sequence[str] | None,
-    ) -> tuple:
-        """Per-token resolution classes (the shared part of all keys).
-
-        Sentence-final punctuation is stripped by the parser before any
-        dictionary lookup, so those tokens keep their literal form;
-        every other token collapses to its dictionary resolution class.
-        """
-        return tuple(
-            word
-            if word in _STRIP_TOKENS
-            else parser.dictionary.resolution_key(
-                word, tags[i] if tags else None
-            )
-            for i, word in enumerate(words)
-        )
-
-    # ----------------------------------------------------------- lookup
+    def __init__(self, store: PersistentParseCache | None = None) -> None:
+        self._lru = LRUCache(FRONT_SIZE, name="linkages")
+        #: The caller's store (sidecar-backed or not), else a fresh
+        #: in-memory one; the corpus runner may swap in its own before
+        #: the first lookup.
+        self.store = store if store is not None else PersistentParseCache()
 
     def lookup(
         self,
@@ -233,109 +223,32 @@ class LinkageCache:
         *words* are used exactly as given (callers lowercase them
         first, matching the extraction pipeline's convention).
         """
-        # Both keys end in the per-token resolution classes and lead
-        # with the parser configuration that changes outcomes:
-        # ``max_linkages`` changes which linkage ``parse_one`` returns
-        # (extraction stops at the cap before cost-ranking them all).
-        # The LRU key adds ``id(parser.dictionary)``, since dictionaries
-        # resolve tokens differently, so one cache can serve
-        # differently-configured parsers.  The cross-run key must be
-        # process-portable: the sidecar's signature check identifies
-        # the dictionary instead, and the parse budget joins the key
-        # so a timeout recorded under one budget is never served to a
-        # run with another.
-        tail = self._resolution_tail(parser, words, tags)
-        key = (
-            id(parser.dictionary),
-            parser.max_linkages,
-            parser.max_words,
-        ) + tail
-        entry = self._lru.get(key, _MISSING)
-        entry = self._validate_timeout(parser, entry)
-        pkey: tuple | None = None
-        if (
-            entry is _MISSING
-            and self.persistent is not None
-            # Cheap per-lookup guard (both signatures are cached
-            # strings): a sidecar written for a different dictionary
-            # is skipped, not consulted.
-            and self.persistent.dictionary_signature
-            == parser.dictionary.signature()
-        ):
-            pkey = (
-                getattr(parser, "time_budget", None),
-                None,  # was the beam width; kept so old sidecars hit
-                parser.max_linkages,
-                parser.max_words,
-            ) + tail
-            outcome = self.persistent.get(pkey)
+        store = self.store
+        signature = parser.dictionary.signature()
+        if signature != store.dictionary_signature:
+            store.bind(signature)
+        key = parse_key(parser, words, tags)
+        entry = self._lru.get(key)
+        if entry is None:
+            outcome = store.get(key)
             if outcome is not None:
                 parser.stats.persistent_hits += 1
-                entry = self._install(key, outcome)
-                pkey = None  # already persisted
+                entry = _front_entry(outcome)
+                self._lru.put(key, entry)
             else:
                 parser.stats.persistent_misses += 1
         if not tracing.enabled():
-            return self._resolve(parser, words, tags, key, entry, pkey)
+            return self._resolve(parser, words, tags, key, entry)
         with tracing.span(
             "parse",
             " ".join(words),
-            cache_hit=entry is not _MISSING,
+            cache_hit=entry is not None,
         ):
-            linkage = self._resolve(
-                parser, words, tags, key, entry, pkey
-            )
+            linkage = self._resolve(parser, words, tags, key, entry)
             tracing.annotate(
                 outcome="linked" if linkage is not None else "failed"
             )
             return linkage
-
-    @staticmethod
-    def _validate_timeout(
-        parser: LinkGrammarParser, entry: Any
-    ) -> Any:
-        """Downgrade a stale timeout marker to a miss.
-
-        A timeout recorded under budget *b* is valid only for budgets
-        ``<= b`` — with a larger (or unlimited) budget the sentence
-        might parse, so the entry must not be served (the regression
-        this guards: a ``--parse-budget`` bump silently inheriting the
-        previous run's timeouts).
-        """
-        if (
-            isinstance(entry, tuple)
-            and entry
-            and entry[0] is _PARSE_TIMED_OUT
-        ):
-            recorded = entry[1]
-            budget = getattr(parser, "time_budget", None)
-            if (
-                budget is None
-                or recorded is None
-                or budget > recorded
-            ):
-                return _MISSING
-        return entry
-
-    def _install(self, key: tuple, outcome: tuple) -> Any:
-        """Promote a persistent-cache outcome into the LRU.
-
-        Returns the LRU-form entry.  Fresh distance memo per process —
-        memos hold Linkage-derived state that must never cross runs.
-        """
-        tag = outcome[0]
-        if tag == parsecache.OUTCOME_FAIL:
-            entry: Any = _PARSE_FAILED
-        elif tag == parsecache.OUTCOME_TIMEOUT:
-            entry = (_PARSE_TIMED_OUT, outcome[1])
-        else:
-            links = tuple(
-                Link(left, right, label)
-                for left, right, label in outcome[1]
-            )
-            entry = (links, outcome[2], tuple(outcome[3]), {})
-        self._lru.put(key, entry)
-        return entry
 
     def _resolve(
         self,
@@ -343,69 +256,17 @@ class LinkageCache:
         words: Sequence[str],
         tags: Sequence[str] | None,
         key: tuple,
-        entry: Any,
-        pkey: tuple | None = None,
+        entry: Outcome | None,
     ) -> Linkage | None:
-        if entry is _MISSING:
-            persistent = (
-                self.persistent if pkey is not None else None
-            )
-            try:
-                linkage = parser.parse_one(
-                    list(words), list(tags) if tags else None
-                )
-            except ParseTimeout as timeout:
-                tracing.event(
-                    "parse-timeout",
-                    " ".join(words),
-                    budget_s=timeout.budget,
-                )
-                budget = getattr(parser, "time_budget", None)
-                self._lru.put(key, (_PARSE_TIMED_OUT, budget))
-                if persistent is not None:
-                    persistent.put(
-                        pkey, (parsecache.OUTCOME_TIMEOUT, budget)
-                    )
-                return None
-            except ParseFailure:
-                self._lru.put(key, _PARSE_FAILED)
-                if persistent is not None:
-                    persistent.put(pkey, (parsecache.OUTCOME_FAIL,))
-                return None
-            # The distance memo rides on the entry: every hit of this
-            # signature shares it, so the association layer runs its
-            # Dijkstra once per (sentence shape, source) per corpus.
-            memo: dict = {}
-            linkage.distance_cache = memo
-            self._lru.put(
-                key,
-                (tuple(linkage.links), linkage.cost,
-                 tuple(linkage.token_map), memo),
-            )
-            if persistent is not None:
-                persistent.put(
-                    pkey,
-                    (
-                        parsecache.OUTCOME_OK,
-                        tuple(
-                            (link.left, link.right, link.label)
-                            for link in linkage.links
-                        ),
-                        linkage.cost,
-                        tuple(linkage.token_map),
-                    ),
-                )
-            return linkage
-        if (
-            isinstance(entry, tuple)
-            and entry
-            and entry[0] is _PARSE_TIMED_OUT
-        ):
+        if entry is None:
+            return self._parse(parser, words, tags, key)
+        tag = entry[0]
+        if tag == OUTCOME_FAIL:
+            return None
+        if tag == OUTCOME_TIMEOUT:
             tracing.annotate(timeout=True)
             return None
-        if entry is _PARSE_FAILED:
-            return None
-        links, cost, token_map, memo = entry
+        _, links, cost, token_map, memo = entry
         return Linkage(
             words=[LEFT_WALL] + [words[i] for i in token_map[1:]],
             links=list(links),
@@ -414,20 +275,60 @@ class LinkageCache:
             distance_cache=memo,
         )
 
+    def _parse(
+        self,
+        parser: LinkGrammarParser,
+        words: Sequence[str],
+        tags: Sequence[str] | None,
+        key: tuple,
+    ) -> Linkage | None:
+        """Parse a sentence neither layer knows; record the outcome."""
+        try:
+            linkage = parser.parse_one(
+                list(words), list(tags) if tags else None
+            )
+        except ParseTimeout as timeout:
+            tracing.event(
+                "parse-timeout", " ".join(words), budget_s=timeout.budget
+            )
+            outcome: Outcome = (OUTCOME_TIMEOUT, parser.time_budget)
+            self.store.put(key, outcome)
+            self._lru.put(key, outcome)
+            return None
+        except ParseFailure:
+            outcome = (OUTCOME_FAIL,)
+            self.store.put(key, outcome)
+            self._lru.put(key, outcome)
+            return None
+        links = tuple(linkage.links)
+        token_map = tuple(linkage.token_map)
+        self.store.put(
+            key,
+            (
+                OUTCOME_OK,
+                tuple((link.left, link.right, link.label) for link in links),
+                linkage.cost,
+                token_map,
+            ),
+        )
+        # The distance memo rides on the front entry: every hit of
+        # this shape shares it, so the association layer runs its
+        # Dijkstra once per (sentence shape, source) per process.
+        memo: dict = {}
+        linkage.distance_cache = memo
+        self._lru.put(
+            key, (OUTCOME_OK, links, linkage.cost, token_map, memo)
+        )
+        return linkage
+
     def clear(self) -> None:
         self._lru.clear()
 
     def counters(self) -> dict[str, int]:
         return self._lru.counters()
 
-    def hit_rate(self) -> float:
-        return self._lru.hit_rate()
-
     def stats(self) -> dict[str, Any]:
-        stats = self._lru.stats()
-        if self.persistent is not None:
-            stats["persistent"] = self.persistent.stats()
-        return stats
+        return {**self._lru.stats(), "store": self.store.stats()}
 
 
 class ExtractionCaches:
@@ -437,10 +338,9 @@ class ExtractionCaches:
         self,
         pipeline: Pipeline | None = None,
         document_maxsize: int = 256,
-        linkage_maxsize: int = 4096,
     ) -> None:
         self.documents = DocumentCache(pipeline, maxsize=document_maxsize)
-        self.linkages = LinkageCache(maxsize=linkage_maxsize)
+        self.linkages = LinkageCache()
 
     def clear(self) -> None:
         self.documents.clear()

@@ -290,7 +290,6 @@ class CompiledArtifact:
         self,
         parse_budget: float | None = None,
         document_cache_size: int | None = None,
-        linkage_cache_size: int | None = None,
         models: dict[str, dict] | None = None,
     ) -> "RecordExtractor":
         """A ready :class:`RecordExtractor` over the compiled tables.
@@ -307,8 +306,7 @@ class CompiledArtifact:
         from repro.runtime.cache import ExtractionCaches
 
         caches = ExtractionCaches(
-            document_maxsize=document_cache_size or 256,
-            linkage_maxsize=linkage_cache_size or 4096,
+            document_maxsize=document_cache_size or 256
         )
         parser = LinkGrammarParser(
             dictionary=self.grammar.dictionary(),

@@ -1,24 +1,21 @@
-"""Persistent cross-run parse cache (the third linkage-cache layer).
+"""The parse store: every parse outcome a run has seen, by one key.
 
-The in-memory :class:`~repro.runtime.cache.LinkageCache` already
-shares parses *within* a process: clinical dictation is boilerplate,
-so a 1000-record corpus typically contains only a handful of distinct
-sentence shapes, each costing a real slice of parser time.  But every
-process restart — a new ``repro extract`` invocation, a service
-redeploy, every cold pool worker — re-parses the same handful from
-scratch, and BENCH_scaling.json shows that cost dominating end-to-end
-extraction.
+Clinical dictation is boilerplate, so a corpus holds few distinct
+sentence shapes, and each one costs a real slice of parser time.
+Every :class:`~repro.runtime.cache.LinkageCache` answers from an
+in-memory front backed by one :class:`PersistentParseCache` store.
+The store is held in memory, or backed by a sidecar file next to the
+compiled artifact (``<artifact>.parsecache``) so that the next
+process restart, ``repro extract`` run, service redeploy or cold pool
+worker parses none of the shapes again.
 
-This module persists those parse outcomes across runs.  A
-:class:`PersistentParseCache` is a pickled sidecar file living next to
-the compiled artifact (``<artifact>.parsecache``), holding plain-data
-parse outcomes keyed by the sentence's dictionary-resolution signature
-plus every parser setting that can change the outcome (parse budget,
-linkage caps).  Like :class:`CompiledArtifact` it is
-versioned and fingerprinted: a sidecar written by a different cache
-format, different lexicon sources, or a different dictionary is
-rejected with :class:`ParseCacheError` and rebuilt empty — never
-silently reused.
+This module owns the store's key (:func:`parse_key`: the sentence's
+dictionary-resolution classes plus every parser setting that can
+change the outcome) and its outcome format.  A sidecar is versioned
+and fingerprinted like :class:`CompiledArtifact`: one written by a
+different cache format, different lexicon sources or a different
+dictionary is rejected with :class:`ParseCacheError` and rebuilt
+empty, never silently reused.
 
 Entries are plain tuples of strings and ints (no Connector/Link
 objects), so the file format is stable under refactors of the parser
@@ -33,18 +30,21 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ParseCacheError
+from repro.linkgrammar.parser import _STRIP_TOKENS
+
+if TYPE_CHECKING:
+    from repro.linkgrammar.parser import LinkGrammarParser
 
 #: Bump whenever the pickled sidecar layout changes in a way old
 #: readers cannot handle.  Checked on load; a mismatch rebuilds.
 PARSECACHE_VERSION = 1
 
 #: Outcome tags.  ``ok`` carries ``(links, cost, token_map)`` where
-#: links are ``(left, right, label)`` triples; ``timeout`` outcomes
-#: are implicitly keyed by budget (the budget is part of the entry
-#: key), so a larger-budget run can never be served a stale marker.
+#: links are ``(left, right, label)`` triples; ``timeout`` carries the
+#: budget it was recorded under (the budget is also part of the key).
 OUTCOME_OK = "ok"
 OUTCOME_FAIL = "fail"
 OUTCOME_TIMEOUT = "timeout"
@@ -57,25 +57,57 @@ def sidecar_path(artifact_path: str | Path) -> Path:
     return Path(str(artifact_path) + ".parsecache")
 
 
-class PersistentParseCache:
-    """Append-only parse-outcome store shared across process runs.
+def parse_key(
+    parser: "LinkGrammarParser",
+    words: Sequence[str],
+    tags: Sequence[str] | None,
+) -> tuple:
+    """The store key of *words* as *parser* would parse them.
 
-    One instance serves one dictionary (validated by signature).  The
-    in-memory :class:`~repro.runtime.cache.LinkageCache` consults it
-    on LRU misses and writes every fresh outcome back through
-    :meth:`put`; :meth:`drain_delta` ships a worker's new entries to
-    the parent at chunk reassembly, and :meth:`save` merges with
-    whatever is on disk before the atomic rename.
+    The parser settings that change an outcome lead: the time budget,
+    so a timeout recorded under one budget is never served to
+    another; ``max_linkages``, which changes the linkage
+    ``parse_one`` returns; and ``max_words``.  The second slot held a
+    beam width once and stays ``None`` so older sidecars keep hitting.
+    Then each token's dictionary-resolution class, so sentences that
+    differ only in values ("pulse of 84" / "pulse of 96") share one
+    key.  Sentence-final punctuation is stripped by the parser before
+    any dictionary lookup, so those tokens keep their literal form.
+    """
+    dictionary = parser.dictionary
+    return (
+        parser.time_budget,
+        None,
+        parser.max_linkages,
+        parser.max_words,
+    ) + tuple(
+        word
+        if word in _STRIP_TOKENS
+        else dictionary.resolution_key(word, tags[i] if tags else None)
+        for i, word in enumerate(words)
+    )
+
+
+class PersistentParseCache:
+    """Append-only parse-outcome store, in memory or sidecar-backed.
+
+    One instance serves one dictionary: a store built without a
+    signature binds to the first dictionary a lookup brings, and
+    :meth:`bind` refuses any other one, including the same dictionary
+    after ``Dictionary.add``.
+    The :class:`~repro.runtime.cache.LinkageCache` front consults it
+    on misses and writes every fresh outcome back through :meth:`put`;
+    :meth:`drain_delta` ships a worker's new entries to the parent,
+    and :meth:`save` merges with whatever is on disk before the
+    atomic rename.
     """
 
     def __init__(
         self,
-        fingerprint: str,
-        dictionary_signature: str,
+        dictionary_signature: str | None = None,
         entries: dict[tuple, Outcome] | None = None,
         path: Path | None = None,
     ) -> None:
-        self.fingerprint = fingerprint
         self.dictionary_signature = dictionary_signature
         self.entries: dict[tuple, Outcome] = entries or {}
         self.path = path
@@ -84,22 +116,20 @@ class PersistentParseCache:
         self.added = 0
         self._delta: dict[tuple, Outcome] = {}
 
-    # ----------------------------------------------------------- build
+    def bind(self, dictionary_signature: str) -> None:
+        """Bind an unbound store to a dictionary; refuse any other.
 
-    @classmethod
-    def empty(
-        cls,
-        dictionary_signature: str,
-        path: str | Path | None = None,
-    ) -> "PersistentParseCache":
-        """A fresh cache bound to the current source fingerprint."""
-        from repro.runtime.compiled import source_fingerprint
-
-        return cls(
-            fingerprint=source_fingerprint(),
-            dictionary_signature=dictionary_signature,
-            path=Path(path) if path is not None else None,
-        )
+        Entries are only valid for the dictionary they were parsed
+        with, and the key names no dictionary, so serving another
+        one's outcomes would silently mislink its sentences.
+        """
+        if self.dictionary_signature is not None:
+            raise ValueError(
+                f"parse store holds parses for dictionary "
+                f"{self.dictionary_signature}, not for dictionary "
+                f"{dictionary_signature}"
+            )
+        self.dictionary_signature = dictionary_signature
 
     # ---------------------------------------------------------- access
 
@@ -152,6 +182,8 @@ class PersistentParseCache:
         first, so two runs finishing out of order both keep their
         entries.  A stale or unreadable existing file is overwritten.
         """
+        from repro.runtime.compiled import source_fingerprint
+
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ValueError("no path given and cache has no path")
@@ -169,7 +201,8 @@ class PersistentParseCache:
         payload = pickle.dumps(
             {
                 "version": PARSECACHE_VERSION,
-                "fingerprint": self.fingerprint,
+                # Loading checks a sidecar against this very value.
+                "fingerprint": source_fingerprint(),
                 "dictionary_signature": self.dictionary_signature,
                 "entries": self.entries,
             },
@@ -199,9 +232,9 @@ class PersistentParseCache:
         Raises :class:`ParseCacheError` when the file is unreadable,
         not a parse cache, from a different
         :data:`PARSECACHE_VERSION`, or fingerprinted against different
-        source data than this process carries.  Dictionary-signature
-        validation happens at attach time (the caller knows which
-        dictionary it will parse with).
+        source data than this process carries.  The dictionary
+        signature is checked by :meth:`load_or_create` and on every
+        lookup (see :meth:`bind`).
         """
         from repro.runtime.compiled import source_fingerprint
 
@@ -238,7 +271,6 @@ class PersistentParseCache:
                 f"expected {expected})"
             )
         return PersistentParseCache(
-            fingerprint=raw["fingerprint"],
             dictionary_signature=raw["dictionary_signature"],
             entries=raw["entries"],
             path=path,
@@ -261,10 +293,11 @@ class PersistentParseCache:
         try:
             cache = cls.load(path)
         except ParseCacheError:
-            return cls.empty(dictionary_signature, path=path), False
-        if cache.dictionary_signature != dictionary_signature:
-            return cls.empty(dictionary_signature, path=path), False
-        return cache, True
+            pass
+        else:
+            if cache.dictionary_signature == dictionary_signature:
+                return cache, True
+        return cls(dictionary_signature, path=Path(path)), False
 
     # ----------------------------------------------------------- stats
 

@@ -65,6 +65,7 @@ from repro.runtime.runner import (
     _init_worker,
     _reset_caches,
     _serialize_models,
+    bind_store,
     published,
 )
 from repro.runtime.tracing import Span, Tracer
@@ -395,15 +396,11 @@ class CorpusRunner:
             caches = getattr(extractor, "caches", None)
             if caches is not None:
                 caches.documents.resize(document_cache_size)
-        #: Persistent cross-run parse cache: attached to the serial
-        #: extractor's linkage cache here, published to pool workers
-        #: copy-on-write, and fed every worker's delta at reassembly.
+        #: The extractor's parse store: the caller's when given, else
+        #: the extractor's own.  Published to pool workers
+        #: copy-on-write and fed every worker's delta at reassembly.
         #: The caller owns saving it (see cli._cmd_extract).
-        self.parse_cache = parse_cache
-        if parse_cache is not None:
-            caches = getattr(extractor, "caches", None)
-            if caches is not None:
-                caches.linkages.attach_persistent(parse_cache)
+        self.parse_cache = bind_store(extractor, parse_cache)
         self.extractor = extractor
         self.workers = workers
         self.chunk_size = chunk_size
@@ -550,7 +547,7 @@ class CorpusRunner:
             ),
             "warm_start": self.artifact is not None,
             "linkage_cache_hit_rate": hits / lookups if lookups else 0.0,
-            "persistent_parse_cache": self.parse_cache is not None,
+            "persistent_parse_cache": self.parse_cache.path is not None,
             "persistent_parse_hits": persistent_hits,
             "persistent_parse_misses": parser.get(
                 "persistent_misses", 0
@@ -699,11 +696,10 @@ class CorpusRunner:
         results: "list[ExtractionResult]",
         delta: dict[str, Any],
         completed: "dict[int, list[ExtractionResult]]",
-        parse_delta: dict[tuple, tuple] | None = None,
+        parse_delta: dict[tuple, tuple],
     ) -> None:
         merge_stats(self.engine_stats, delta)
-        if self.parse_cache is not None and parse_delta:
-            self.parse_cache.merge(parse_delta)
+        self.parse_cache.merge(parse_delta)
         completed[start] = results
         if self.journal is not None:
             self.journal.append_chunk(start, results)
@@ -794,7 +790,8 @@ class CorpusRunner:
             except Exception as error:
                 self._on_failure(task, error, tasks)
             else:
-                self._complete(start, results, delta, completed)
+                # The extractor parsed through the store already.
+                self._complete(start, results, delta, completed, {})
 
     def _execute_serial(
         self, task: _ChunkTask, plan: FaultPlan | None
@@ -852,36 +849,18 @@ class CorpusRunner:
     ) -> None:
         """Prime-then-fan-out: run the first task here, pool the rest.
 
-        The pool then forks with a parse cache that already holds the
+        The pool then forks with a parse store that already holds the
         corpus's boilerplate sentence shapes; otherwise every worker
         re-parses the same few shapes from scratch (see
-        docs/performance.md §6).  Without a caller's parse cache an
-        ephemeral in-memory one is attached just for the hand-off.
+        docs/performance.md §6).
         """
         n_records = sum(len(task.records) for task in tasks)
-        prime = len(tasks) > 1
-        prime_cache = self.parse_cache
-        caches = getattr(self.extractor, "caches", None)
-        ephemeral = prime and prime_cache is None and caches is not None
-        if ephemeral:
-            from repro.runtime.parsecache import PersistentParseCache
-
-            prime_cache = PersistentParseCache.empty(
-                self.extractor.numeric.parser.dictionary.signature()
-            )
-            caches.linkages.attach_persistent(prime_cache)
-        try:
-            if prime:
-                self._drain_serial(
-                    deque([tasks.popleft()]), completed, plan
-                )
-            # Fork-started (and rebuilt) pools inherit the artifact
-            # and the primed cache copy-on-write.
-            with published(self.artifact, prime_cache):
-                self._drain_pool(tasks, completed, plan, n_records)
-        finally:
-            if ephemeral:
-                caches.linkages.attach_persistent(None)
+        if len(tasks) > 1:
+            self._drain_serial(deque([tasks.popleft()]), completed, plan)
+        # Fork-started (and rebuilt) pools inherit the artifact and
+        # the primed store copy-on-write.
+        with published(self.artifact, self.parse_cache):
+            self._drain_pool(tasks, completed, plan, n_records)
 
     def _drain_pool(
         self,
@@ -900,8 +879,7 @@ class CorpusRunner:
             self.document_cache_size
             or self._target_document_cache_size(n_records),
             str(self.parse_cache.path)
-            if self.parse_cache is not None
-            and self.parse_cache.path is not None
+            if self.parse_cache.path is not None
             else None,
             self.profile_stages,
         )

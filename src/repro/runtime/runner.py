@@ -5,8 +5,8 @@ With ``workers>1`` it fans chunks of records out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`; this module is what
 those pool workers (and the service's forked shard children) run:
 
-* :func:`published` makes the parent's compiled artifact and warm
-  parse cache visible to children forked inside it, copy-on-write;
+* :func:`published` makes the parent's compiled artifact and parse
+  store visible to children forked inside it, copy-on-write;
 * :func:`_init_worker`, the one pool initializer, builds each
   worker's extraction stack **once** — dictionary expansion,
   pipeline, ontology, and the categorical models (shipped as
@@ -17,7 +17,7 @@ those pool workers (and the service's forked shard children) run:
   faults, extracts each record, resets the caches on failure, and
   returns the results with the worker's counter delta (cache hits,
   prune ratio, parse time), its span trees, and the parse outcomes it
-  added, which the parent merges into one view.
+  added, which the parent merges into its store.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.records.model import PatientRecord
 from repro.runtime import tracing
 from repro.runtime.faults import FaultPlan, mark_worker
 from repro.runtime.metrics import diff_stats
+from repro.runtime.parsecache import PersistentParseCache
 from repro.runtime.tracing import Tracer
 
 if TYPE_CHECKING:  # real imports are deferred: extraction imports us
@@ -39,7 +40,6 @@ if TYPE_CHECKING:  # real imports are deferred: extraction imports us
         RecordExtractor,
     )
     from repro.runtime.compiled import CompiledArtifact
-    from repro.runtime.parsecache import PersistentParseCache
 
 #: Per-process extractor, created by the pool initializer.
 _WORKER_EXTRACTOR: "RecordExtractor | None" = None
@@ -51,10 +51,10 @@ _WORKER_EXTRACTOR: "RecordExtractor | None" = None
 #: artifact path (one pickle load) or a cold build.
 _SHARED_ARTIFACT: "CompiledArtifact | None" = None
 
-#: Warm persistent parse cache published the same way: fork-started
-#: workers inherit the parent's entries copy-on-write and start with
-#: every boilerplate sentence shape pre-parsed; their own additions
-#: ship home inside the chunk payloads and are merged at reassembly.
+#: The parent's parse store, published the same way: fork-started
+#: workers inherit its entries copy-on-write and start with every
+#: sentence shape the parent has seen; their own additions ship home
+#: inside the chunk payloads and are merged at reassembly.
 _SHARED_PARSE_CACHE: "PersistentParseCache | None" = None
 
 #: Wall-clock the pool initializer spent building this worker's
@@ -72,8 +72,10 @@ def published(
 ) -> Iterator[None]:
     """Publish a warm stack to every child forked inside the block.
 
-    The previous values come back on exit, so nested or later forks
-    see whatever their own owner published.
+    *parse_cache* is the owner's parse store, sidecar-backed or not:
+    children parse through it and ship back only what they add.  The
+    previous values come back on exit, so nested or later forks see
+    whatever their own owner published.
     """
     global _SHARED_ARTIFACT, _SHARED_PARSE_CACHE
     previous = _SHARED_ARTIFACT, _SHARED_PARSE_CACHE
@@ -155,28 +157,41 @@ def _init_worker(
 def _attach_parse_cache(
     extractor: "RecordExtractor", parse_cache_path: str | None
 ) -> None:
-    """Give a worker's linkage cache its persistent layer.
+    """Give a worker's extractor its parent's parse store.
 
     Warm-start order mirrors the artifact: the forked-in
     :data:`_SHARED_PARSE_CACHE` (free, copy-on-write), then the
-    sidecar path (one pickle load under ``spawn``), else none.  The
-    inherited delta is drained so the first chunk ships only this
-    worker's own additions.
+    sidecar path (one pickle load under ``spawn``), else the
+    in-memory store the extractor was built with.  The inherited
+    delta is drained so the first chunk ships only this worker's own
+    additions.
+    """
+    store = _SHARED_PARSE_CACHE
+    if store is None and parse_cache_path is not None:
+        store, _ = PersistentParseCache.load_or_create(
+            parse_cache_path,
+            extractor.numeric.parser.dictionary.signature(),
+        )
+    if store is not None:
+        store.drain_delta()
+        bind_store(extractor, store)
+
+
+def bind_store(
+    extractor: "RecordExtractor", store: "PersistentParseCache | None"
+) -> "PersistentParseCache":
+    """Make *store*, when given, the parse store *extractor* parses
+    through; returns the store it parses through.
+
+    An engine without caches (a test stub) never parses, so it gets
+    the given store or a fresh in-memory one for the runner to own.
     """
     caches = getattr(extractor, "caches", None)
     if caches is None:
-        return
-    cache = _SHARED_PARSE_CACHE
-    if cache is None and parse_cache_path is not None:
-        from repro.runtime.parsecache import PersistentParseCache
-
-        parser = extractor.numeric.parser
-        cache, _ = PersistentParseCache.load_or_create(
-            parse_cache_path, parser.dictionary.signature()
-        )
-    if cache is not None:
-        cache.drain_delta()
-        caches.linkages.attach_persistent(cache)
+        return store if store is not None else PersistentParseCache()
+    if store is not None:
+        caches.linkages.store = store
+    return caches.linkages.store
 
 
 def _extract_records(
@@ -235,8 +250,8 @@ def _extract_chunk(
     like the counter deltas — the parent re-assembles them in input
     order so a parallel trace equals a serial one record-for-record.
     ``parse_delta`` carries the parse outcomes this worker added to
-    its persistent cache during the chunk (empty without one); the
-    parent merges them so one run's sidecar sees every worker's work.
+    its parse store during the chunk; the parent merges them so one
+    run's store sees every worker's work.
     A failed chunk resets the worker's caches before it re-raises.
     """
     start, records, trace, attempt, plan = payload
@@ -261,10 +276,7 @@ def _extract_chunk(
         raise
     delta = diff_stats(extractor.counters(), before)
     delta = _attach_init_report(delta)
-    parse_delta: dict[tuple, tuple] = {}
-    caches = getattr(extractor, "caches", None)
-    if caches is not None and caches.linkages.persistent is not None:
-        parse_delta = caches.linkages.persistent.drain_delta()
+    parse_delta = extractor.caches.linkages.store.drain_delta()
     return start, results, delta, spans, parse_delta
 
 

@@ -40,8 +40,7 @@ and serves extraction requests over a local socket:
   accepting new extract requests, but every already-accepted request
   is answered before the server exits.  On drain, shard result-store
   partitions are merged into one store byte-identical to a batch
-  ``repro extract`` run (or, in *fleet* mode, shards have been
-  writing a shared WAL store all along).
+  ``repro extract`` run.
 
 Determinism note: with ``shards=1`` extraction runs only on the
 shard's single executor thread, so the process-global tracer and all
@@ -73,7 +72,11 @@ from repro.runtime.resilience import (
     ResilientCorpusRunner,
     RetryPolicy,
 )
-from repro.runtime.runner import _serialize_models, published
+from repro.runtime.runner import (
+    _serialize_models,
+    bind_store,
+    published,
+)
 from repro.runtime.sharding import (
     BatchOutcome,
     LocalShard,
@@ -87,6 +90,7 @@ from repro.runtime.tracing import Tracer
 
 if TYPE_CHECKING:
     from repro.extraction.pipeline import RecordExtractor
+    from repro.runtime.parsecache import PersistentParseCache
 
 #: Protocol ops a request may carry.
 OPS = ("extract", "health", "stats", "shutdown")
@@ -171,13 +175,9 @@ class ServiceConfig:
     #: path); N>1 forks N child processes, each with its own warm
     #: stack, queue, and result-store partition.
     shards: int = 1
-    #: When set, shards persist results server-side: to per-shard
-    #: partitions merged into this path on drain, or (fleet mode)
-    #: straight into this path as a shared WAL store.
+    #: When set, shards persist results server-side, to per-shard
+    #: partitions merged into this path on drain.
     store_path: str | None = None
-    #: Share ``store_path`` between several service instances via
-    #: SQLite WAL + busy-timeout instead of per-shard partitions.
-    fleet: bool = False
     #: Run id recorded with server-side quarantine rows.
     run_id: str = ""
 
@@ -196,8 +196,6 @@ class ServiceConfig:
             raise ValueError(
                 f"shards must be >= 1, got {self.shards}"
             )
-        if self.fleet and self.store_path is None:
-            raise ValueError("fleet mode requires store_path")
 
 
 @dataclass
@@ -248,7 +246,7 @@ class ExtractionService:
         policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
-        parse_cache: Any | None = None,
+        parse_cache: "PersistentParseCache | None" = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.tracer = tracer
@@ -265,7 +263,6 @@ class ExtractionService:
         self.artifact, self._artifact_path = self._resolve_artifact(
             artifact
         )
-        self.parse_cache = parse_cache
         #: The in-process runner: the ``shards=1`` extraction path,
         #: and the source of serialized models / parse budget for
         #: forked shards.  ``None`` only if construction failed.
@@ -292,13 +289,20 @@ class ExtractionService:
 
                     extractor = RecordExtractor()
             self._extractor = extractor
+        #: The parse store every shard parses through: the caller's
+        #: when given, else the engine's own.  Forked shards inherit
+        #: it and ship back what they add.
+        self.parse_cache = (
+            self.runner.parse_cache
+            if self.runner is not None
+            else bind_store(self._extractor, parse_cache)
+        )
         self.metrics = Metrics()
         #: Every poison isolated over the service lifetime, with
         #: record_index rebased to global accept order.
         self.quarantine: list[QuarantineEntry] = []
         self.address: Any = None
-        #: Partition-merge summary from the last drain (non-fleet
-        #: stores only).
+        #: Partition-merge summary from the last drain.
         self.merge_summary: dict[str, int] | None = None
         #: Final per-shard stats collected at drain.
         self.shard_stats: list[dict[str, Any]] = []
@@ -474,12 +478,10 @@ class ExtractionService:
             artifact_path=self._artifact_path,
             parse_cache_path=(
                 str(self.parse_cache.path)
-                if self.parse_cache is not None
-                and self.parse_cache.path is not None
+                if self.parse_cache.path is not None
                 else None
             ),
             store_path=self.config.store_path,
-            fleet=self.config.fleet,
             run_id=self.config.run_id,
             max_batch=self.config.max_batch,
             policy=self.policy,
@@ -522,7 +524,7 @@ class ExtractionService:
 
     def _clear_partitions(self, spec: ShardSpec) -> None:
         """Remove stale partition files from a previous run."""
-        if spec.store_path is None or spec.fleet:
+        if spec.store_path is None:
             return
         for shard_id in range(self.config.shards):
             base = partition_path(spec.store_path, shard_id)
@@ -547,10 +549,7 @@ class ExtractionService:
         for executor in self._executors:
             executor.shutdown(wait=False)
         self._executors = []
-        if (
-            self.config.store_path is not None
-            and not self.config.fleet
-        ):
+        if self.config.store_path is not None:
             from repro.storage.db import merge_partition_stores
 
             self.merge_summary = merge_partition_stores(
@@ -899,11 +898,6 @@ class ExtractionService:
             return None
         return replace(self.fault_plan, faults=window)
 
-    def _batch_plan(self, base: int, count: int) -> FaultPlan | None:
-        """Fault window for a contiguous sequence block (the
-        ``shards=1`` fast path, kept for tests and symmetry)."""
-        return self._plan_for_seqs(range(base, base + count))
-
     async def _route_results(
         self,
         live: list[_PendingRequest],
@@ -942,8 +936,7 @@ class ExtractionService:
             })
             self._completed += 1
         self.metrics.count("completed", len(live))
-        if self.parse_cache is not None and outcome.parse_delta:
-            self.parse_cache.merge(outcome.parse_delta)
+        self.parse_cache.merge(outcome.parse_delta)
 
     # --------------------------------------------------- introspection
 

@@ -13,8 +13,8 @@ per-shard single-thread executor):
   like the pre-sharding daemon.
 * :class:`ProcessShard` — ``shards>1``: a forked child process holds
   its own extractor (inheriting the parent's published
-  ``CompiledArtifact`` and persistent parse cache copy-on-write, with
-  path-load fallbacks under spawn) and speaks a pickled message
+  ``CompiledArtifact`` and parse store copy-on-write, with path-load
+  fallbacks under spawn) and speaks a pickled message
   protocol over a :class:`multiprocessing.Pipe`.  A dead child (kill
   fault, OOM, SIGKILL) surfaces as :class:`ShardFailure` on the next
   batch, never as a hang.
@@ -29,10 +29,7 @@ Each shard may also own a :class:`~repro.storage.db.ResultStore`
 every result/quarantine wire payload keyed by the request's global
 accept sequence, so the service can merge them into one store that is
 byte-identical to a single-process ``repro extract`` run (see
-:func:`repro.storage.db.merge_partition_stores`).  In *fleet* mode
-shards skip partitions and write straight to one shared WAL store
-with a busy timeout, so several service instances can feed the same
-database.
+:func:`repro.storage.db.merge_partition_stores`).
 """
 
 from __future__ import annotations
@@ -58,10 +55,6 @@ if TYPE_CHECKING:
         RetryPolicy,
     )
     from repro.storage.db import ResultStore
-
-#: How long the shared-store lock may be waited on in fleet mode
-#: before a write errors out (milliseconds).
-FLEET_BUSY_TIMEOUT_MS = 30_000
 
 
 class ShardFailure(Exception):
@@ -103,7 +96,6 @@ class ShardSpec:
     artifact_path: str | None
     parse_cache_path: str | None
     store_path: str | None
-    fleet: bool
     run_id: str
     max_batch: int
     policy: "RetryPolicy | None"
@@ -117,8 +109,8 @@ class BatchOutcome:
     #: Quarantine entries with ``record_index`` rebased to the global
     #: accept sequence of the poisoned request.
     quarantine: "list[QuarantineEntry]"
-    #: Parse outcomes the shard's persistent cache gained (empty for
-    #: the local shard, whose cache belongs to the parent already).
+    #: Parse outcomes the shard's parse store gained (empty for the
+    #: local shard, whose store belongs to the parent already).
     parse_delta: dict[tuple, tuple]
 
 
@@ -127,20 +119,17 @@ def _persist_batch(
     outcome: BatchOutcome,
     seqs: Sequence[int],
     run_id: str,
-    fleet: bool,
 ) -> None:
-    """Write one batch to the shard's store, if it has one.
+    """Write one batch to the shard's partition, if it has one.
 
-    Non-fleet partitions also journal the wire payloads keyed by
-    accept sequence — the raw material for the byte-identical merge.
+    Partitions also journal the wire payloads keyed by accept
+    sequence — the raw material for the byte-identical merge.
     """
     if store is None:
         return
     store.store_many(outcome.results)
     if outcome.quarantine:
         store.save_quarantine(list(outcome.quarantine), run_id=run_id)
-    if fleet:
-        return
     quarantined_seqs = {
         entry.record_index for entry in outcome.quarantine
     }
@@ -171,10 +160,6 @@ def _open_shard_store(
 
     if spec.store_path is None:
         return None
-    if spec.fleet:
-        return ResultStore(
-            spec.store_path, busy_timeout_ms=FLEET_BUSY_TIMEOUT_MS
-        )
     return ResultStore(partition_path(spec.store_path, shard_id))
 
 
@@ -216,10 +201,7 @@ class LocalShard:
             quarantine=list(self.runner.quarantine),
             parse_delta={},
         )
-        _persist_batch(
-            self._store, outcome, seqs, self.spec.run_id,
-            self.spec.fleet,
-        )
+        _persist_batch(self._store, outcome, seqs, self.spec.run_id)
         return outcome
 
     def close(self) -> dict[str, Any]:
@@ -261,10 +243,6 @@ def _shard_child(
         policy=spec.policy,
     )
     store = _open_shard_store(spec, shard_id)
-    caches = getattr(extractor, "caches", None)
-    persistent = (
-        caches.linkages.persistent if caches is not None else None
-    )
     batches = 0
     while True:
         try:
@@ -294,13 +272,9 @@ def _shard_child(
         outcome = BatchOutcome(
             results=results,
             quarantine=list(runner.quarantine),
-            parse_delta=(
-                persistent.drain_delta()
-                if persistent is not None
-                else {}
-            ),
+            parse_delta=runner.parse_cache.drain_delta(),
         )
-        _persist_batch(store, outcome, seqs, spec.run_id, spec.fleet)
+        _persist_batch(store, outcome, seqs, spec.run_id)
         conn.send(
             ("ok", outcome.results, outcome.quarantine,
              outcome.parse_delta)
@@ -388,7 +362,6 @@ class ProcessShard:
 
 __all__ = [
     "BatchOutcome",
-    "FLEET_BUSY_TIMEOUT_MS",
     "LocalShard",
     "ProcessShard",
     "ShardFailure",

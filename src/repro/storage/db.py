@@ -82,11 +82,7 @@ QUARANTINE_COLUMNS: tuple[tuple[str, str], ...] = (
 class ResultStore:
     """SQLite sink and query surface for extraction results."""
 
-    def __init__(
-        self,
-        path: str | Path = ":memory:",
-        busy_timeout_ms: int | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path = ":memory:") -> None:
         self._connection = sqlite3.connect(str(path))
         # Write-ahead logging turns every commit into one sequential
         # log append instead of a full database rewrite, and NORMAL
@@ -96,12 +92,6 @@ class ResultStore:
         # In-memory databases ignore the journal-mode request.
         self._connection.execute("PRAGMA journal_mode=WAL")
         self._connection.execute("PRAGMA synchronous=NORMAL")
-        if busy_timeout_ms is not None:
-            # Fleet mode: several writers share one WAL store; a
-            # write that meets the lock waits instead of erroring.
-            self._connection.execute(
-                f"PRAGMA busy_timeout={int(busy_timeout_ms)}"
-            )
         self._connection.executescript(_SCHEMA)
 
     def close(self) -> None:

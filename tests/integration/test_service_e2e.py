@@ -22,11 +22,13 @@ import pytest
 
 from repro.client import ServiceClient
 from repro.extraction import RecordExtractor
+from repro.linkgrammar import LinkGrammarParser
 from repro.runtime import (
     FaultPlan,
     ResilientCorpusRunner,
     RetryPolicy,
 )
+from repro.runtime.parsecache import PersistentParseCache
 from repro.runtime.service import ExtractionService, ServiceConfig
 from repro.storage import ResultStore
 from repro.synth import CohortSpec, RecordGenerator
@@ -276,58 +278,60 @@ class TestShardedStoreEqualsBatch:
             assert merged.missing_provenance() == []
             merged.close()
 
-    def test_fleet_instances_share_one_store(self, cohort, tmp_path):
-        """Two service instances, one WAL store, full provenance.
+    def test_sidecar_store_collects_and_serves_shard_parses(
+        self, cohort, tmp_path
+    ):
+        """Two forked shards over a sidecar-backed parse store.
 
-        Fleet mode trades byte-ordering (arrival order interleaves)
-        for shared writes, so parity here is content-digest level:
-        the union of both instances' work must equal one batch run.
+        At drain the parent's store holds every parse the children
+        made; a second service over the saved sidecar parses nothing
+        in any shard, and its merged result store has the same bytes.
         """
-        fleet_db = tmp_path / "fleet.db"
-        first, first_path = _serve(
-            tmp_path,
-            extractor=RecordExtractor(),
-            config=ServiceConfig(
-                socket_path=str(tmp_path / "one.sock"),
-                linger_s=0.01,
-                shards=2,
-                store_path=str(fleet_db),
-                fleet=True,
-            ),
-        )
-        second, second_path = _serve(
-            tmp_path,
-            extractor=RecordExtractor(),
-            config=ServiceConfig(
-                socket_path=str(tmp_path / "two.sock"),
-                linger_s=0.01,
-                shards=2,
-                store_path=str(fleet_db),
-                fleet=True,
-            ),
-        )
-        half = len(cohort) // 2
-        try:
-            with ServiceClient(socket_path=first_path) as client:
-                left, _ = client.extract_many(cohort[:half])
-            with ServiceClient(socket_path=second_path) as client:
-                right, _ = client.extract_many(cohort[half:])
-        finally:
-            first.stop(timeout=60)
-            second.stop(timeout=60)
-        assert len(left) + len(right) == len(cohort)
-
-        batch_db = _store(
-            tmp_path / "batch.db",
-            RecordExtractor().extract_all(cohort),
-        )
-        shared = ResultStore(fleet_db)
-        assert (
-            shared.content_digest()
-            == ResultStore(batch_db).content_digest()
-        )
-        assert shared.missing_provenance() == []
-        shared.close()
+        sidecar = tmp_path / "svc.parsecache"
+        signature = LinkGrammarParser().dictionary.signature()
+        databases = []
+        for round_ in range(2):
+            store, loaded = PersistentParseCache.load_or_create(
+                sidecar, signature
+            )
+            assert loaded == (round_ == 1)
+            before = len(store)
+            databases.append(tmp_path / f"round{round_}.db")
+            service, path = _serve(
+                tmp_path,
+                extractor=RecordExtractor(),
+                parse_cache=store,
+                config=ServiceConfig(
+                    socket_path=str(tmp_path / f"r{round_}.sock"),
+                    max_batch=2,
+                    linger_s=0.01,
+                    shards=2,
+                    store_path=str(databases[-1]),
+                ),
+            )
+            try:
+                with ServiceClient(socket_path=path) as client:
+                    results, quarantined = client.extract_many(cohort)
+            finally:
+                service.stop(timeout=60)
+            assert quarantined == [] and len(results) == len(cohort)
+            ran = [
+                stats for stats in service.shard_stats
+                if stats.get("batches")
+            ]
+            assert ran
+            if round_ == 0:
+                assert before == 0 and len(store) > 0
+                assert sum(
+                    stats["persistent_parse_misses"] for stats in ran
+                ) >= len(store)
+                store.save()
+            else:
+                assert len(store) == before and not store.dirty
+                for stats in ran:
+                    assert stats["persistent_parse_misses"] == 0
+                    assert stats["persistent_parse_hits"] > 0
+        assert databases[1].read_bytes() == databases[0].read_bytes()
 
 
 class TestServeSubmitCli:

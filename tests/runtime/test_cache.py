@@ -3,12 +3,14 @@
 import pytest
 
 from repro.linkgrammar import LinkGrammarParser
+from repro.linkgrammar.dictionary import Dictionary
 from repro.runtime.cache import (
     DocumentCache,
     ExtractionCaches,
     LinkageCache,
     LRUCache,
 )
+from repro.runtime.parsecache import PersistentParseCache
 
 
 class TestLRUCache:
@@ -122,12 +124,47 @@ class TestLinkageCache:
         assert cache.counters()["misses"] == 2
 
     def test_clear(self):
+        """Clearing empties the front; the store still answers."""
         parser = LinkGrammarParser()
         cache = LinkageCache()
         cache.lookup(parser, self.SENTENCE_84, self.TAGS)
         cache.clear()
         cache.lookup(parser, self.SENTENCE_84, self.TAGS)
         assert cache.counters()["misses"] == 2
+        assert parser.stats.persistent_hits == 1
+        assert parser.stats.sentences == 1
+
+    def test_parser_over_another_dictionary_is_refused(self):
+        parser = LinkGrammarParser()
+        signature = parser.dictionary.signature()
+        cache = LinkageCache(PersistentParseCache(signature))
+        assert cache.lookup(parser, self.SENTENCE_84, self.TAGS)
+        other = Dictionary()
+        other.add("zzgadget", "Os-")
+        foreign = LinkGrammarParser(dictionary=other)
+        with pytest.raises(ValueError) as refused:
+            cache.lookup(foreign, self.SENTENCE_84, self.TAGS)
+        assert signature in str(refused.value)
+        assert other.signature() in str(refused.value)
+        assert foreign.stats.sentences == 0
+
+    def test_dictionary_changed_by_add_is_refused(self):
+        """An in-memory store binds to the first dictionary it sees,
+        so entries parsed before ``Dictionary.add`` are never served
+        after it."""
+        dictionary = Dictionary()
+        parser = LinkGrammarParser(dictionary=dictionary)
+        cache = LinkageCache()
+        assert cache.store.dictionary_signature is None
+        assert cache.lookup(parser, self.SENTENCE_84, self.TAGS)
+        before = dictionary.signature()
+        assert cache.store.dictionary_signature == before
+        dictionary.add("zzgloblet", "{D-} & (Wd- or O-)")
+        with pytest.raises(ValueError) as refused:
+            cache.lookup(parser, self.SENTENCE_84, self.TAGS)
+        assert before in str(refused.value)
+        assert dictionary.signature() in str(refused.value)
+        assert cache.counters()["hits"] == 0
 
 
 class TestExtractionCaches:

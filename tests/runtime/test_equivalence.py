@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extraction import NumericExtractor, RecordExtractor
-from repro.runtime import CorpusRunner
+from repro.runtime import CorpusRunner, LinkageCache
 from repro.synth import CohortSpec, DictationStyle, RecordGenerator
 
 SPEC = CohortSpec(
@@ -42,7 +42,9 @@ def test_cached_equals_cold_extraction(seed, level):
     cold = NumericExtractor(document_cache=None)
     for record in records:
         cached = engine.extract(record)
-        cold.linkage_cache.clear()  # emulate the seed's per-record cache
+        # Emulate the seed's per-record cache (clear() would keep the
+        # parse store behind the front).
+        cold.linkage_cache = LinkageCache()
         want = {
             attr.name: (
                 cold.extract_attribute(

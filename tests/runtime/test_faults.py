@@ -112,14 +112,24 @@ class TestFiring:
 
         extractor = RecordExtractor()
         extractor.caches.documents.get("seed text")
+        parser = extractor.numeric.parser
+        sentence = ("pulse of 84 .".split(), ["NN", "IN", "CD", "."])
+        linkages = extractor.caches.linkages
+        assert linkages.lookup(parser, *sentence) is not None
         plan = FaultPlan.parse("corrupt@0")
         with pytest.raises(InjectedCacheCorruption):
             plan.fire(0, 0, extractor=extractor)
-        lru = extractor.caches.documents._lru
-        assert all(
-            value == ("__corrupted-cache-entry__",)
-            for value in lru._data.values()
-        )
+        for holder in (extractor.caches.documents, linkages):
+            values = list(holder._lru._data.values())
+            assert values == [("__corrupted-cache-entry__",)]
+        # The poisoned front crashes its reader instead of answering,
+        # and the garbage never reaches the parse store.
+        with pytest.raises(ValueError):
+            linkages.lookup(parser, *sentence)
+        assert [o[0] for o in linkages.store.entries.values()] == ["ok"]
+        linkages.clear()
+        assert linkages.lookup(parser, *sentence) is not None
+        assert parser.stats.persistent_hits == 1
 
     def test_interrupt_is_not_an_exception_subclass(self):
         plan = FaultPlan.parse("interrupt@2")

@@ -23,9 +23,12 @@ from repro.runtime import (
 from repro.runtime.cache import LinkageCache
 from repro.runtime.faults import InjectedInterrupt
 from repro.runtime.parsecache import (
+    OUTCOME_FAIL,
     OUTCOME_OK,
+    OUTCOME_TIMEOUT,
     PARSECACHE_VERSION,
     PersistentParseCache,
+    parse_key,
     sidecar_path,
 )
 from repro.storage.db import ResultStore
@@ -57,13 +60,36 @@ def baseline(cohort):
 
 
 def _warm_stack(path=None):
-    """A parser + linkage cache wired to a fresh persistent layer."""
+    """A parser + linkage cache over a fresh parse store."""
     parser = LinkGrammarParser()
-    persistent = PersistentParseCache.empty(
+    persistent = PersistentParseCache(
         parser.dictionary.signature(), path=path
     )
-    cache = LinkageCache(persistent=persistent)
+    cache = LinkageCache(store=persistent)
     return parser, cache, persistent
+
+
+def _well_formed(outcome) -> bool:
+    """One of the three outcome shapes a sidecar may hold."""
+    if outcome == (OUTCOME_FAIL,):
+        return True
+    if len(outcome) == 2 and outcome[0] == OUTCOME_TIMEOUT:
+        return outcome[1] is None or outcome[1] >= 0
+    if len(outcome) != 4 or outcome[0] != OUTCOME_OK:
+        return False
+    _, links, cost, token_map = outcome
+    return (
+        all(
+            isinstance(left, int)
+            and isinstance(right, int)
+            and isinstance(label, str)
+            for left, right, label in links
+        )
+        and isinstance(cost, (int, float))
+        and isinstance(token_map, tuple)
+        and token_map[0] is None  # the left wall is no word
+        and all(isinstance(index, int) for index in token_map[1:])
+    )
 
 
 class TestSidecarLifecycle:
@@ -81,7 +107,7 @@ class TestSidecarLifecycle:
             path, parser2.dictionary.signature()
         )
         assert ok and len(loaded) == len(persistent)
-        warm_cache = LinkageCache(persistent=loaded)
+        warm_cache = LinkageCache(store=loaded)
         warm = warm_cache.lookup(parser2, SENTENCE, TAGS)
         assert parser2.stats.persistent_hits == 1
         assert parser2.stats.sentences == 0  # no re-parse happened
@@ -171,11 +197,11 @@ class TestSidecarLifecycle:
         cold = cache.lookup(parser, SENTENCE, TAGS)
         (outcome,) = persistent.entries.values()
         classes = ("pulse", "of", "#NUM#", ".")
-        assert LinkageCache._resolution_tail(parser, SENTENCE, TAGS) == (
-            classes
+        assert parse_key(parser, SENTENCE, TAGS) == (
+            (None, None, 16, 40) + classes
         )
         path = tmp_path / "old.parsecache"
-        old = PersistentParseCache.empty(
+        old = PersistentParseCache(
             parser.dictionary.signature(), path=path
         )
         old.put((None, None, 16, 40) + classes, outcome)
@@ -186,7 +212,7 @@ class TestSidecarLifecycle:
             path, fresh.dictionary.signature()
         )
         assert ok
-        warm = LinkageCache(persistent=loaded).lookup(fresh, VARIANT, TAGS)
+        warm = LinkageCache(store=loaded).lookup(fresh, VARIANT, TAGS)
         assert fresh.stats.persistent_hits == 1
         assert fresh.stats.sentences == 0  # served, not parsed
         assert warm.links == cold.links and warm.cost == cold.cost
@@ -202,7 +228,7 @@ class TestSidecarLifecycle:
         delta = persistent.drain_delta()
         assert len(delta) == 1
         assert persistent.drain_delta() == {}
-        other = PersistentParseCache.empty(
+        other = PersistentParseCache(
             parser.dictionary.signature()
         )
         assert other.merge(delta) == 1
@@ -242,10 +268,10 @@ class TestTimeoutBudgetKeying:
     def test_persistent_timeouts_budget_keyed(self, tmp_path):
         path = tmp_path / "budget.parsecache"
         starved = LinkGrammarParser(time_budget=0.0)
-        persistent = PersistentParseCache.empty(
+        persistent = PersistentParseCache(
             starved.dictionary.signature(), path=path
         )
-        cache = LinkageCache(persistent=persistent)
+        cache = LinkageCache(store=persistent)
         assert cache.lookup(starved, SENTENCE, TAGS) is None
         persistent.save()
 
@@ -253,7 +279,7 @@ class TestTimeoutBudgetKeying:
             path, starved.dictionary.signature()
         )
         generous = LinkGrammarParser(time_budget=60.0)
-        warm_cache = LinkageCache(persistent=loaded)
+        warm_cache = LinkageCache(store=loaded)
         assert warm_cache.lookup(generous, SENTENCE, TAGS) is not None
 
 
@@ -337,6 +363,37 @@ class TestCorpusParity:
             hostile_corpus, workers=workers, parse_cache=warm_cache
         )
         assert warm == baseline
+
+    def test_corrupted_run_saves_a_clean_sidecar(
+        self, cohort, baseline, tmp_path
+    ):
+        """A cache-corruption fault mid-run reaches neither the output
+        nor the sidecar: every saved entry is a well-formed outcome,
+        and a run over it parses nothing."""
+        path = tmp_path / "corrupt.parsecache"
+        cache = self._fresh_cache(path)
+        runner = ResilientCorpusRunner(
+            RecordExtractor(),
+            chunk_size=2,
+            fault_plan=FaultPlan.parse("corrupt@mid"),
+            policy=FAST_POLICY,
+            parse_cache=cache,
+        )
+        assert runner.run(cohort) == baseline
+        assert runner.stats()["retries"] == 1
+        cache.save()
+
+        loaded, ok = PersistentParseCache.load_or_create(
+            path, LinkGrammarParser().dictionary.signature()
+        )
+        assert ok and len(loaded) == len(cache) > 0
+        for outcome in loaded.entries.values():
+            assert _well_formed(outcome), outcome
+        runner, warm = self._run(cohort, parse_cache=loaded)
+        assert warm == baseline
+        parser = runner.stats()["engine"]["parser"]
+        assert parser["sentences"] == 0
+        assert parser["persistent_misses"] == 0
 
     def test_resumed_run_with_warm_cache_is_identical(
         self, cohort, baseline, tmp_path

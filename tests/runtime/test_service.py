@@ -173,18 +173,18 @@ class TestFaultWindowing:
         # batch-local positions through an index_map of accept
         # sequences, so the plan window only filters.
         service = self._service("raise@3")
-        window = service._batch_plan(base=2, count=4)
+        window = service._plan_for_seqs(range(2, 6))
         assert [f.index for f in window.faults] == [3]
 
     def test_fault_outside_window_excluded(self):
         service = self._service("raise@3")
-        assert service._batch_plan(base=6, count=4) is None
-        assert service._batch_plan(base=0, count=3) is None
+        assert service._plan_for_seqs(range(6, 10)) is None
+        assert service._plan_for_seqs(range(0, 3)) is None
 
     def test_multiple_faults_split_across_windows(self):
         service = self._service("raise@1;hang@5")
-        first = service._batch_plan(base=0, count=4)
-        second = service._batch_plan(base=4, count=4)
+        first = service._plan_for_seqs(range(0, 4))
+        second = service._plan_for_seqs(range(4, 8))
         assert [f.index for f in first.faults] == [1]
         assert [f.index for f in second.faults] == [5]
         assert [f.kind for f in second.faults] == ["hang"]

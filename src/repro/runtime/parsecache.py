@@ -94,9 +94,9 @@ class PersistentParseCache:
     One instance serves one dictionary: a store built without a
     signature binds to the first dictionary a lookup brings, and
     :meth:`bind` refuses any other one, including the same dictionary
-    after ``Dictionary.add``.
-    The :class:`~repro.runtime.cache.LinkageCache` front consults it
-    on misses and writes every fresh outcome back through :meth:`put`;
+    after ``Dictionary.add``.  The
+    :class:`~repro.runtime.cache.LinkageCache` front consults it on
+    misses and writes every fresh outcome back through :meth:`put`;
     :meth:`drain_delta` ships a worker's new entries to the parent,
     and :meth:`save` merges with whatever is on disk before the
     atomic rename.
@@ -293,11 +293,10 @@ class PersistentParseCache:
         try:
             cache = cls.load(path)
         except ParseCacheError:
-            pass
-        else:
-            if cache.dictionary_signature == dictionary_signature:
-                return cache, True
-        return cls(dictionary_signature, path=Path(path)), False
+            return cls(dictionary_signature, path=Path(path)), False
+        if cache.dictionary_signature != dictionary_signature:
+            return cls(dictionary_signature, path=Path(path)), False
+        return cache, True
 
     # ----------------------------------------------------------- stats
 

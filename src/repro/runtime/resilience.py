@@ -4,7 +4,7 @@
 ``repro serve`` shard, the benchmarks.  ``ResilientCorpusRunner`` is
 the same class under a second name.  ``workers=1`` (the default)
 extracts in-process; ``workers>1`` runs the first chunk in-process to
-prime the parse cache, then fans the rest out over a process pool
+prime the parse store, then fans the rest out over a process pool
 whose worker side lives in :mod:`repro.runtime.runner`.  A hostile
 corpus cannot take down a run:
 

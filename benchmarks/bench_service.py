@@ -85,7 +85,6 @@ def test_service_throughput_and_latency(benchmark, tmp_path):
             RecordExtractor(),
             config=ServiceConfig(
                 socket_path=socket_path,
-                linger_s=0.02,
                 max_batch=32,
             ),
         )
@@ -322,7 +321,6 @@ def test_open_loop_sweep(benchmark, tmp_path):
             extractor,
             config=ServiceConfig(
                 socket_path=socket_path,
-                linger_s=0.005,
                 max_batch=32,
                 max_queue=256,
                 shards=shards,

@@ -273,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 16)",
     )
     serve.add_argument(
-        "--linger", type=float, default=0.01, metavar="SECONDS",
-        help="how long the batcher waits to coalesce more requests "
-             "once work is queued (default: 0.01)",
-    )
-    serve.add_argument(
         "--retry-after", type=float, default=0.05, metavar="SECONDS",
         help="back-off suggested to shed clients (default: 0.05)",
     )
@@ -565,8 +560,13 @@ def _resolve_parse_cache(
     return cache
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    records = list(load_records(args.input))
+def _build_engine(
+    args: argparse.Namespace,
+) -> tuple[
+    CompiledArtifact | None, RecordExtractor, PersistentParseCache | None
+]:
+    """The artifact, the extractor built from it, and the parse store
+    for an ``extract`` or ``serve`` run."""
     artifact, artifact_path = _resolve_artifact(args)
     if artifact is not None:
         extractor = artifact.make_extractor(
@@ -579,6 +579,22 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         artifact_path,
         extractor.numeric.parser.dictionary.signature(),
     )
+    return artifact, extractor, parse_cache
+
+
+def _save_parse_cache(parse_cache: PersistentParseCache | None) -> None:
+    """Save the sidecar when the run added parses to it."""
+    if parse_cache is not None and parse_cache.dirty:
+        added = parse_cache.added
+        parse_cache.save()
+        print(
+            f"parse cache: +{added} new parses -> {parse_cache.path}"
+        )
+
+
+def _cmd_extract(args: argparse.Namespace) -> int:
+    records = list(load_records(args.input))
+    artifact, extractor, parse_cache = _build_engine(args)
     if args.gold is None and args.models is not None:
         loaded = extractor.load_models(args.models)
         print(f"loaded {loaded} categorical models from {args.models}")
@@ -628,12 +644,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         profile_stages=args.profile_stages,
     )
     results = runner.run(records)
-    if parse_cache is not None and parse_cache.dirty:
-        added = parse_cache.added
-        parse_cache.save()
-        print(
-            f"parse cache: +{added} new parses -> {parse_cache.path}"
-        )
+    _save_parse_cache(parse_cache)
     # The store is only opened once the run survived end to end; an
     # interrupted run leaves nothing behind but its journal.
     store = ResultStore(args.db)
@@ -741,18 +752,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    artifact, artifact_path = _resolve_artifact(args)
-    if artifact is not None:
-        extractor = artifact.make_extractor(
-            parse_budget=args.parse_budget
-        )
-    else:
-        extractor = RecordExtractor(parse_budget=args.parse_budget)
-    parse_cache = _resolve_parse_cache(
-        args,
-        artifact_path,
-        extractor.numeric.parser.dictionary.signature(),
-    )
+    artifact, extractor, parse_cache = _build_engine(args)
     if args.models is not None:
         loaded = extractor.load_models(args.models)
         print(f"loaded {loaded} categorical models from {args.models}")
@@ -762,7 +762,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        linger_s=args.linger,
         retry_after_s=args.retry_after,
         default_deadline_s=args.deadline,
         shards=args.shards,
@@ -830,12 +829,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{config.store_path} ({merged['results']} results, "
             f"{merged['quarantined']} quarantined)"
         )
-    if parse_cache is not None and parse_cache.dirty:
-        added = parse_cache.added
-        parse_cache.save()
-        print(
-            f"parse cache: +{added} new parses -> {parse_cache.path}"
-        )
+    _save_parse_cache(parse_cache)
     return 0
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -99,7 +100,8 @@ class PersistentParseCache:
     misses and writes every fresh outcome back through :meth:`put`;
     :meth:`drain_delta` ships a worker's new entries to the parent,
     and :meth:`save` merges with whatever is on disk before the
-    atomic rename.
+    atomic rename.  The store only appends, so a drain is the tail of
+    :attr:`entries` past a mark.
     """
 
     def __init__(
@@ -111,10 +113,12 @@ class PersistentParseCache:
         self.dictionary_signature = dictionary_signature
         self.entries: dict[tuple, Outcome] = entries or {}
         self.path = path
-        #: Entries added since load (or construction): drives both
-        #: the dirty check before save and the per-chunk worker delta.
+        #: Entries added since load, construction or the last save:
+        #: drives the dirty check before save.
         self.added = 0
-        self._delta: dict[tuple, Outcome] = {}
+        #: How many leading entries earlier drains (or the load)
+        #: covered; :meth:`drain_delta` returns the ones past it.
+        self._drained = len(self.entries)
 
     def bind(self, dictionary_signature: str) -> None:
         """Bind an unbound store to a dictionary; refuse any other.
@@ -143,7 +147,6 @@ class PersistentParseCache:
         if key in self.entries:
             return
         self.entries[key] = outcome
-        self._delta[key] = outcome
         self.added += 1
 
     def merge(self, entries: dict[tuple, Outcome]) -> int:
@@ -156,16 +159,22 @@ class PersistentParseCache:
         for key, outcome in entries.items():
             if key not in self.entries:
                 self.entries[key] = outcome
-                self._delta[key] = outcome
                 self.added += 1
                 new += 1
         return new
 
     def drain_delta(self) -> dict[tuple, Outcome]:
-        """Entries added since the last drain (for worker shipping)."""
-        delta = self._delta
-        self._delta = {}
-        return delta
+        """Entries added since the last drain, in insertion order.
+
+        What :meth:`put` and :meth:`merge` added, read from the end of
+        :attr:`entries` at a cost of O(new entries).  Entries that
+        :meth:`save` unioned in from disk may ride along; merges are
+        first-writer-wins, so shipping them again is harmless.
+        """
+        fresh = len(self.entries) - self._drained
+        self._drained = len(self.entries)
+        tail = list(islice(reversed(self.entries.items()), fresh))
+        return dict(reversed(tail))
 
     @property
     def dirty(self) -> bool:

@@ -15,13 +15,16 @@ and serves extraction requests over a local socket:
   one asyncio event loop; accepted requests are routed by rendezvous
   hash on the record id to one of ``shards`` workers, each with its
   own bounded queue, dispatcher, and warm extraction stack.  With
-  ``shards=1`` (the default) extraction runs in-process on a single
-  runner — the deterministic reference path; with ``shards>1`` each
-  shard is a forked child process holding its own compiled artifact
-  and parse-cache sidecar (see :mod:`repro.runtime.sharding`).
-* **Micro-batching** — each shard's dispatcher coalesces its queue
-  (up to ``max_batch``, after a short ``linger_s`` window) and
-  dispatches batches through a
+  ``shards=1`` (the default) extraction runs in-process on the
+  service's own runner — the deterministic reference path; with
+  ``shards>1`` each shard is a forked child process running its own
+  runner over the compiled artifact and parse store it inherits
+  (see :mod:`repro.runtime.sharding`).  Both run every batch through
+  one body, :meth:`~repro.runtime.sharding.LocalShard.run_batch`.
+* **Micro-batching** — each shard's dispatcher takes one request and
+  then whatever its queue already holds, up to ``max_batch``.
+  Requests that arrive while a batch runs coalesce into the next,
+  because each shard runs its batches in turn.  Batches run on a
   :class:`~repro.runtime.resilience.ResilientCorpusRunner`, so the
   batch path's caching, retry/bisect/quarantine machinery, and fault
   injection all apply to live traffic.
@@ -59,6 +62,7 @@ import asyncio
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Awaitable, Callable, Sequence
@@ -72,11 +76,7 @@ from repro.runtime.resilience import (
     ResilientCorpusRunner,
     RetryPolicy,
 )
-from repro.runtime.runner import (
-    _serialize_models,
-    bind_store,
-    published,
-)
+from repro.runtime.runner import _serialize_models, published
 from repro.runtime.sharding import (
     BatchOutcome,
     LocalShard,
@@ -86,7 +86,6 @@ from repro.runtime.sharding import (
     partition_path,
     shard_for,
 )
-from repro.runtime.tracing import Tracer
 
 if TYPE_CHECKING:
     from repro.extraction.pipeline import RecordExtractor
@@ -163,10 +162,6 @@ class ServiceConfig:
     max_queue: int = 64
     #: Most records coalesced into one dispatched batch.
     max_batch: int = 16
-    #: How long a dispatcher waits for more requests to coalesce once
-    #: its queue is non-empty (0 disables coalescing beyond whatever
-    #: is already queued).
-    linger_s: float = 0.01
     #: Suggested client back-off carried by ``overloaded`` responses.
     retry_after_s: float = 0.05
     #: Deadline applied to requests that do not carry their own.
@@ -190,8 +185,10 @@ class ServiceConfig:
             raise ValueError(
                 f"max_batch must be >= 1, got {self.max_batch}"
             )
-        if self.linger_s < 0 or self.retry_after_s < 0:
-            raise ValueError("linger_s/retry_after_s must be >= 0")
+        if self.retry_after_s < 0:
+            raise ValueError(
+                f"retry_after_s must be >= 0, got {self.retry_after_s}"
+            )
         if self.shards < 1:
             raise ValueError(
                 f"shards must be >= 1, got {self.shards}"
@@ -214,10 +211,13 @@ class _PendingRequest:
 
 @dataclass
 class _Shard:
-    """Service-side view of one shard: worker + queue + dispatcher."""
+    """Service-side view of one shard: worker + queue + executor."""
 
     shard_id: int
     worker: Any  # LocalShard | ProcessShard
+    #: One thread: pipe I/O (or local extraction) runs off the event
+    #: loop but strictly serialized per shard.
+    executor: ThreadPoolExecutor
     queue: asyncio.Queue = field(default_factory=asyncio.Queue)
     dispatched: int = 0
     batches: int = 0
@@ -245,11 +245,9 @@ class ExtractionService:
         artifact: Any | None = None,
         policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
         parse_cache: "PersistentParseCache | None" = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.tracer = tracer
         if fault_plan is not None:
             for fault in fault_plan.faults:
                 if isinstance(fault.index, str):
@@ -259,43 +257,17 @@ class ExtractionService:
                         "service stream; use integer indices"
                     )
         self.fault_plan = fault_plan
-        self.policy = policy
-        self.artifact, self._artifact_path = self._resolve_artifact(
-            artifact
-        )
-        #: The in-process runner: the ``shards=1`` extraction path,
-        #: and the source of serialized models / parse budget for
-        #: forked shards.  ``None`` only if construction failed.
-        self.runner: ResilientCorpusRunner | None = None
-        if self.config.shards == 1:
-            self.runner = ResilientCorpusRunner(
-                extractor,
-                workers=1,
-                chunk_size=self.config.max_batch,
-                policy=policy,
-                tracer=tracer,
-                artifact=self.artifact,
-                parse_cache=parse_cache,
-            )
-            self._extractor = self.runner.extractor
-        else:
-            if extractor is None:
-                if self.artifact is not None:
-                    extractor = self.artifact.make_extractor()
-                else:
-                    from repro.extraction.pipeline import (
-                        RecordExtractor,
-                    )
-
-                    extractor = RecordExtractor()
-            self._extractor = extractor
-        #: The parse store every shard parses through: the caller's
-        #: when given, else the engine's own.  Forked shards inherit
-        #: it and ship back what they add.
-        self.parse_cache = (
-            self.runner.parse_cache
-            if self.runner is not None
-            else bind_store(self._extractor, parse_cache)
+        #: The in-process runner: the ``shards=1`` extraction path.
+        #: For ``shards>1`` it holds the engine, artifact and parse
+        #: store the forked shards inherit; its store collects what
+        #: they add.
+        self.runner = ResilientCorpusRunner(
+            extractor,
+            workers=1,
+            chunk_size=self.config.max_batch,
+            policy=policy,
+            artifact=artifact,
+            parse_cache=parse_cache,
         )
         self.metrics = Metrics()
         #: Every poison isolated over the service lifetime, with
@@ -318,18 +290,7 @@ class ExtractionService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._drain_event: asyncio.Event | None = None
         self._shards: list[_Shard] = []
-        self._executors: list[Any] = []
         self._thread: threading.Thread | None = None
-
-    @staticmethod
-    def _resolve_artifact(
-        artifact: Any,
-    ) -> tuple[Any, str | None]:
-        if artifact is None or not isinstance(artifact, (str, Path)):
-            return artifact, None
-        from repro.runtime.compiled import CompiledArtifact
-
-        return CompiledArtifact.load(str(artifact)), str(artifact)
 
     # ------------------------------------------------------- lifecycle
 
@@ -463,43 +424,40 @@ class ExtractionService:
     # ---------------------------------------------------------- shards
 
     def _shard_spec(self) -> ShardSpec:
+        runner = self.runner
         # The local shard never rebuilds a stack, so skip model
         # serialization (stub extractors need not look like the real
         # pipeline) unless we are about to fork shard children.
         if self.config.shards > 1:
-            models = _serialize_models(self._extractor)
+            models = _serialize_models(runner.extractor)
         else:
             models = None
         return ShardSpec(
             models=models,
             parse_budget=getattr(
-                self._extractor, "parse_budget", None
+                runner.extractor, "parse_budget", None
             ),
-            artifact_path=self._artifact_path,
+            artifact_path=runner._artifact_path,
             parse_cache_path=(
-                str(self.parse_cache.path)
-                if self.parse_cache.path is not None
+                str(runner.parse_cache.path)
+                if runner.parse_cache.path is not None
                 else None
             ),
             store_path=self.config.store_path,
             run_id=self.config.run_id,
             max_batch=self.config.max_batch,
-            policy=self.policy,
+            policy=runner.policy,
         )
 
     def _install_shards(self) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
         spec = self._shard_spec()
         self._clear_partitions(spec)
-        queue_size = self.config.max_queue
         if self.config.shards == 1:
-            assert self.runner is not None
             workers: list[Any] = [LocalShard(0, self.runner, spec)]
         else:
             # Publish the warm stack for fork-started shard children
             # to inherit copy-on-write, exactly like pool workers.
-            with published(self.artifact, self.parse_cache):
+            with published(self.runner.artifact, self.runner.parse_cache):
                 workers = [
                     ProcessShard(shard_id, spec)
                     for shard_id in range(self.config.shards)
@@ -508,18 +466,13 @@ class ExtractionService:
             _Shard(
                 shard_id=worker.shard_id,
                 worker=worker,
-                queue=asyncio.Queue(maxsize=queue_size + 1),
+                executor=ThreadPoolExecutor(
+                    max_workers=1,
+                    thread_name_prefix=f"shard-{worker.shard_id}",
+                ),
+                queue=asyncio.Queue(maxsize=self.config.max_queue + 1),
             )
             for worker in workers
-        ]
-        # One thread per shard: pipe I/O (or local extraction) runs
-        # off the event loop but strictly serialized per shard.
-        self._executors = [
-            ThreadPoolExecutor(
-                max_workers=1,
-                thread_name_prefix=f"shard-{shard.shard_id}",
-            )
-            for shard in self._shards
         ]
 
     def _clear_partitions(self, spec: ShardSpec) -> None:
@@ -541,14 +494,11 @@ class ExtractionService:
         # that owns its SQLite connection.
         loop = asyncio.get_running_loop()
         self.shard_stats = [
-            await loop.run_in_executor(executor, shard.worker.close)
-            for shard, executor in zip(
-                self._shards, self._executors
-            )
+            await loop.run_in_executor(shard.executor, shard.worker.close)
+            for shard in self._shards
         ]
-        for executor in self._executors:
-            executor.shutdown(wait=False)
-        self._executors = []
+        for shard in self._shards:
+            shard.executor.shutdown(wait=False)
         if self.config.store_path is not None:
             from repro.storage.db import merge_partition_stores
 
@@ -752,7 +702,8 @@ class ExtractionService:
     async def _next_batch(
         self, shard: _Shard, closing: bool
     ) -> tuple[list[_PendingRequest], bool]:
-        """Block for work, linger to coalesce, pop up to max_batch.
+        """Block for one request, then take what is already queued,
+        up to ``max_batch`` in all.
 
         Returns the batch plus whether the drain sentinel was seen;
         once it has been, the caller exits as soon as the queue is
@@ -766,31 +717,7 @@ class ExtractionService:
         if item is _DRAIN:
             return batch, True
         batch.append(item)
-        if (
-            self.config.linger_s > 0
-            and shard.queue.empty()
-            and self.config.max_batch > 1
-        ):
-            # Wait briefly for a companion request: dispatching a
-            # singleton forfeits coalescing, but since this
-            # dispatcher runs batches sequentially, arrivals pile up
-            # during execution anyway — lingering any longer than it
-            # takes one more request to show up is idle executor
-            # time (it was the throughput ceiling of the pre-shard
-            # daemon: ~linger_s per batch of wait with the extractor
-            # doing nothing).
-            try:
-                item = await asyncio.wait_for(
-                    shard.queue.get(),
-                    timeout=self.config.linger_s,
-                )
-                if item is _DRAIN:
-                    saw_drain = True
-                else:
-                    batch.append(item)
-            except asyncio.TimeoutError:
-                pass
-        while len(batch) < self.config.max_batch and not saw_drain:
+        while len(batch) < self.config.max_batch:
             try:
                 item = shard.queue.get_nowait()
             except asyncio.QueueEmpty:
@@ -830,11 +757,10 @@ class ExtractionService:
         shard.batches += 1
         self.metrics.gauge("batch_size_peak", float(len(records)))
         loop = asyncio.get_running_loop()
-        executor = self._executors[self._shards.index(shard)]
         try:
             with self.metrics.time("batch_seconds"):
                 outcome = await loop.run_in_executor(
-                    executor,
+                    shard.executor,
                     shard.worker.run_batch,
                     records, plan, seqs,
                 )
@@ -936,7 +862,7 @@ class ExtractionService:
             })
             self._completed += 1
         self.metrics.count("completed", len(live))
-        self.parse_cache.merge(outcome.parse_delta)
+        self.runner.parse_cache.merge(outcome.parse_delta)
 
     # --------------------------------------------------- introspection
 
@@ -961,7 +887,6 @@ class ExtractionService:
             "queue_depth": self._queue_depth(),
             "max_queue": self.config.max_queue,
             "max_batch": self.config.max_batch,
-            "linger_s": self.config.linger_s,
             "shards": len(self._shards) or self.config.shards,
             "requests": counters.get("requests", 0),
             "accepted": counters.get("accepted", 0),
@@ -1000,7 +925,7 @@ class ExtractionService:
                 }
                 for shard in self._shards
             ]
-        if counters.get("batches", 0) and self.runner is not None:
+        if counters.get("batches", 0) and self.config.shards == 1:
             out["runner"] = self.runner.stats()
         return out
 

@@ -3,21 +3,24 @@
 The async front end in :mod:`repro.runtime.service` routes extract
 requests to N *shards*.  Each shard owns one warm extraction stack and
 processes its batches strictly serially, so per-shard results are as
-deterministic as the batch CLI.  Two shard flavors share one calling
-convention (:meth:`run_batch` / :meth:`close`, invoked from a
-per-shard single-thread executor):
+deterministic as the batch CLI.  Every batch runs through one body,
+:meth:`LocalShard.run_batch`: the batch's fault plan and index map go
+onto a :class:`~repro.runtime.resilience.ResilientCorpusRunner`, the
+runner extracts, and the results persist to the shard's partition.
+Two shard types share one calling convention (:meth:`run_batch` /
+:meth:`close`, invoked from a per-shard single-thread executor):
 
-* :class:`LocalShard` — the ``shards=1`` path: extraction runs in the
-  service process through the service's own
-  :class:`~repro.runtime.resilience.ResilientCorpusRunner`, exactly
-  like the pre-sharding daemon.
-* :class:`ProcessShard` — ``shards>1``: a forked child process holds
-  its own extractor (inheriting the parent's published
+* :class:`LocalShard` — the ``shards=1`` path: the batch body runs in
+  the service process on the service's own runner.
+* :class:`ProcessShard` — ``shards>1``: a forked child process builds
+  its own runner (inheriting the parent's published
   ``CompiledArtifact`` and parse store copy-on-write, with path-load
-  fallbacks under spawn) and speaks a pickled message
-  protocol over a :class:`multiprocessing.Pipe`.  A dead child (kill
-  fault, OOM, SIGKILL) surfaces as :class:`ShardFailure` on the next
-  batch, never as a hang.
+  fallbacks under spawn), runs a :class:`LocalShard` over it, and
+  speaks a pickled message protocol over a
+  :class:`multiprocessing.Pipe`; each reply also carries the parse
+  outcomes the child's store gained.  A dead child (kill fault, OOM,
+  SIGKILL) surfaces as :class:`ShardFailure` on the next batch, never
+  as a hang.
 
 Routing is rendezvous (highest-random-weight) hashing on the record
 id: every record id deterministically prefers one shard, and removing
@@ -38,7 +41,7 @@ import hashlib
 import json
 import multiprocessing
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -109,9 +112,9 @@ class BatchOutcome:
     #: Quarantine entries with ``record_index`` rebased to the global
     #: accept sequence of the poisoned request.
     quarantine: "list[QuarantineEntry]"
-    #: Parse outcomes the shard's parse store gained (empty for the
-    #: local shard, whose store belongs to the parent already).
-    parse_delta: dict[tuple, tuple]
+    #: Parse outcomes a shard child's parse store gained (empty
+    #: in-process, where the store is the service's own).
+    parse_delta: dict[tuple, tuple] = field(default_factory=dict)
 
 
 def _persist_batch(
@@ -166,7 +169,8 @@ def _open_shard_store(
 # ------------------------------------------------------------- local
 
 class LocalShard:
-    """The in-process shard: extraction on the service's own runner."""
+    """The batch body on a runner in this process: the service's own
+    runner for ``shards=1``, a shard child's own runner otherwise."""
 
     def __init__(
         self,
@@ -178,6 +182,7 @@ class LocalShard:
         self.runner = runner
         self.spec = spec
         self.dead = False
+        self.batches = 0
         # Opened lazily on the first batch so the SQLite connection
         # is born on the shard's executor thread (where all batch
         # and close calls run), not the event-loop thread.
@@ -193,21 +198,26 @@ class LocalShard:
         if not self._store_opened:
             self._store = _open_shard_store(self.spec, self.shard_id)
             self._store_opened = True
+        self.batches += 1
         self.runner.fault_plan = plan
         self.runner.index_map = list(seqs)
         results = self.runner.run(records)
         outcome = BatchOutcome(
             results=results,
             quarantine=list(self.runner.quarantine),
-            parse_delta={},
         )
         _persist_batch(self._store, outcome, seqs, self.spec.run_id)
         return outcome
 
     def close(self) -> dict[str, Any]:
+        """Close the partition; the runner's stats once it has run."""
         if self._store is not None:
             self._store.close()
-        return {"shard": self.shard_id, "mode": "local"}
+        stats = self.runner.stats() if self.batches else {}
+        stats.update(
+            shard=self.shard_id, batches=self.batches, mode="local"
+        )
+        return stats
 
 
 # ----------------------------------------------------------- process
@@ -217,8 +227,10 @@ def _shard_child(
 ) -> None:
     """Shard child main loop: build the stack once, serve batches.
 
-    The pool initializer marks the child with
-    :func:`repro.runtime.faults.mark_worker`, so injected
+    Each batch runs through a :class:`LocalShard` over the child's own
+    runner; the outcome ships home with the parse outcomes the batch
+    added to the child's store.  The pool initializer marks the child
+    with :func:`repro.runtime.faults.mark_worker`, so injected
     ``kill`` faults hard-exit the child — a deterministic stand-in
     for a crashed shard that the parent observes as EOF on the pipe.
     """
@@ -234,51 +246,33 @@ def _shard_child(
         None,
         spec.parse_cache_path,
     )
-    extractor = runner_mod._WORKER_EXTRACTOR
-    assert extractor is not None
+    assert runner_mod._WORKER_EXTRACTOR is not None
     runner = ResilientCorpusRunner(
-        extractor,
+        runner_mod._WORKER_EXTRACTOR,
         workers=1,
         chunk_size=spec.max_batch,
         policy=spec.policy,
     )
-    store = _open_shard_store(spec, shard_id)
-    batches = 0
+    shard = LocalShard(shard_id, runner, spec)
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             break
         if message[0] == "close":
-            if store is not None:
-                store.close()
-            stats = runner.stats() if batches else {}
-            stats["shard"] = shard_id
-            stats["batches"] = batches
             try:
-                conn.send(("closed", stats))
+                conn.send(("closed", shard.close()))
             except (OSError, BrokenPipeError):
                 pass
             break
         _, records, plan, seqs = message
-        batches += 1
         try:
-            runner.fault_plan = plan
-            runner.index_map = list(seqs)
-            results = runner.run(records)
+            outcome = shard.run_batch(records, plan, seqs)
         except (Exception, InjectedInterrupt) as exc:
             conn.send(("error", type(exc).__name__, str(exc)))
             continue
-        outcome = BatchOutcome(
-            results=results,
-            quarantine=list(runner.quarantine),
-            parse_delta=runner.parse_cache.drain_delta(),
-        )
-        _persist_batch(store, outcome, seqs, spec.run_id)
-        conn.send(
-            ("ok", outcome.results, outcome.quarantine,
-             outcome.parse_delta)
-        )
+        outcome.parse_delta = runner.parse_cache.drain_delta()
+        conn.send(("ok", outcome))
     conn.close()
 
 
@@ -330,18 +324,11 @@ class ProcessShard:
         if reply[0] == "error":
             _, error_type, message = reply
             raise RuntimeError(f"{error_type}: {message}")
-        _, results, quarantine, parse_delta = reply
-        return BatchOutcome(
-            results=results,
-            quarantine=quarantine,
-            parse_delta=parse_delta,
-        )
+        return reply[1]
 
     def close(self, timeout: float = 10.0) -> dict[str, Any]:
         """Drain the child: close its store, collect final stats."""
-        stats: dict[str, Any] = {
-            "shard": self.shard_id, "mode": "process",
-        }
+        stats: dict[str, Any] = {"shard": self.shard_id}
         if not self.dead:
             try:
                 self._conn.send(("close",))
@@ -356,6 +343,7 @@ class ProcessShard:
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout)
+        stats["mode"] = "process"
         stats["dead"] = self.dead
         return stats
 

@@ -64,7 +64,7 @@ def _store(path, results, quarantine=()):
 def _serve(tmp_path, **kwargs):
     kwargs.setdefault("policy", FAST_POLICY)
     config = kwargs.pop("config", None) or ServiceConfig(
-        socket_path=str(tmp_path / "svc.sock"), linger_s=0.01
+        socket_path=str(tmp_path / "svc.sock")
     )
     service = ExtractionService(config=config, **kwargs)
     service.start()
@@ -149,7 +149,6 @@ class TestServiceQuarantineEqualsBatchQuarantine:
             config=ServiceConfig(
                 socket_path=str(tmp_path / "svc.sock"),
                 max_batch=2,
-                linger_s=0.05,
             ),
         )
         try:
@@ -211,7 +210,6 @@ class TestShardedStoreEqualsBatch:
             config=ServiceConfig(
                 socket_path=str(tmp_path / "svc.sock"),
                 max_batch=2,
-                linger_s=0.01,
                 shards=2,
                 store_path=str(service_db),
             ),
@@ -257,7 +255,6 @@ class TestShardedStoreEqualsBatch:
                         tmp_path / f"svc{shards}.sock"
                     ),
                     max_batch=3,
-                    linger_s=0.01,
                     shards=shards,
                     store_path=str(service_db),
                 ),
@@ -304,7 +301,6 @@ class TestShardedStoreEqualsBatch:
                 config=ServiceConfig(
                     socket_path=str(tmp_path / f"r{round_}.sock"),
                     max_batch=2,
-                    linger_s=0.01,
                     shards=2,
                     store_path=str(databases[-1]),
                 ),

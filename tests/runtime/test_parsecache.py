@@ -235,6 +235,49 @@ class TestSidecarLifecycle:
         assert other.merge(delta) == 0  # idempotent
 
 
+class TestDeltaDrain:
+    """A drain is the tail of the store's entries past a mark."""
+
+    FAIL = (OUTCOME_FAIL,)
+
+    def test_never_drained_store_keeps_no_second_outcome_map(self):
+        store = PersistentParseCache("sig")
+        for index in range(5):
+            store.put(("put", index), self.FAIL)
+        store.merge({("merged", 0): self.FAIL})
+        maps = [
+            value for value in vars(store).values()
+            if isinstance(value, dict)
+        ]
+        assert [id(value) for value in maps] == [id(store.entries)]
+        assert len(store) == 6
+
+    def test_drain_returns_put_and_merged_entries_once(self):
+        store = PersistentParseCache("sig")
+        store.put(("a",), self.FAIL)
+        assert store.drain_delta() == {("a",): self.FAIL}
+        store.put(("b",), self.FAIL)
+        store.put(("a",), (OUTCOME_TIMEOUT, 1.0))  # held: not new
+        timeout = (OUTCOME_TIMEOUT, 2.0)
+        assert store.merge({("c",): timeout, ("b",): self.FAIL}) == 1
+        delta = store.drain_delta()
+        assert list(delta.items()) == [
+            (("b",), self.FAIL), (("c",), timeout),
+        ]
+        assert store.drain_delta() == {}
+
+    def test_store_loaded_from_a_sidecar_drains_nothing(self, tmp_path):
+        path = tmp_path / "drain.parsecache"
+        writer = PersistentParseCache("sig", path=path)
+        writer.put(("a",), self.FAIL)
+        writer.save()
+        loaded, ok = PersistentParseCache.load_or_create(path, "sig")
+        assert ok and len(loaded) == 1
+        assert loaded.drain_delta() == {}
+        loaded.put(("b",), self.FAIL)
+        assert loaded.drain_delta() == {("b",): self.FAIL}
+
+
 class TestTimeoutBudgetKeying:
     def test_bigger_budget_not_served_stale_timeout(self):
         # Regression: a timeout recorded under a tiny budget used to

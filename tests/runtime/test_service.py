@@ -77,7 +77,7 @@ def serve(tmp_path):
         kwargs.setdefault("extractor", StubExtractor())
         kwargs.setdefault("policy", FAST_POLICY)
         config = kwargs.pop("config", None) or ServiceConfig(
-            socket_path=str(tmp_path / "svc.sock"), linger_s=0.005
+            socket_path=str(tmp_path / "svc.sock")
         )
         service = ExtractionService(config=config, **kwargs)
         service.start()
@@ -159,7 +159,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ServiceConfig(max_batch=0)
         with pytest.raises(ValueError):
-            ServiceConfig(linger_s=-1)
+            ServiceConfig(retry_after_s=-1)
 
 
 class TestFaultWindowing:
@@ -209,12 +209,14 @@ class TestRoundtrip:
         ]
 
     def test_requests_coalesce_into_batches(self, serve, tmp_path):
+        # The pipelined requests queue up while the first batch runs,
+        # so the next batch takes them together.
         service, path = serve(
+            extractor=StubExtractor(delay_s=0.05),
             config=ServiceConfig(
                 socket_path=str(tmp_path / "svc.sock"),
-                linger_s=0.25,
                 max_batch=16,
-            )
+            ),
         )
         records = [_record(f"p{i}") for i in range(8)]
         with ServiceClient(socket_path=path) as client:
@@ -253,7 +255,6 @@ class TestBackpressure:
                 socket_path=str(tmp_path / "svc.sock"),
                 max_queue=1,
                 max_batch=1,
-                linger_s=0.0,
                 retry_after_s=0.01,
             ),
         )
@@ -285,7 +286,6 @@ class TestBackpressure:
                 socket_path=str(tmp_path / "svc.sock"),
                 max_queue=1,
                 max_batch=1,
-                linger_s=0.0,
                 retry_after_s=5.0,
             ),
         )
@@ -322,7 +322,6 @@ class TestBackpressure:
                 socket_path=str(tmp_path / "svc.sock"),
                 max_queue=1,
                 max_batch=1,
-                linger_s=0.0,
                 retry_after_s=0.125,
             ),
         )
@@ -409,7 +408,6 @@ class TestQuarantine:
             config=ServiceConfig(
                 socket_path=str(tmp_path / "svc.sock"),
                 max_batch=2,
-                linger_s=0.1,
             ),
         )
         records = [_record(f"p{i}") for i in range(6)]
@@ -428,7 +426,6 @@ class TestInjectedFaults:
             config=ServiceConfig(
                 socket_path=str(tmp_path / "svc.sock"),
                 max_batch=2,
-                linger_s=0.1,
             ),
         )
         records = [_record(f"p{i}") for i in range(6)]
@@ -603,7 +600,6 @@ class TestGracefulDrain:
             config=ServiceConfig(
                 socket_path=str(tmp_path / "svc.sock"),
                 max_batch=2,
-                linger_s=0.0,
             ),
         )
         raw = socket.socket(socket.AF_UNIX)

@@ -86,7 +86,6 @@ class TestShardDeath:
             config=ServiceConfig(
                 socket_path=str(tmp_path / "svc.sock"),
                 max_batch=1,
-                linger_s=0.0,
                 shards=2,
             ),
             fault_plan=FaultPlan.parse("kill@2"),
@@ -129,7 +128,6 @@ class TestShardDeath:
             config=ServiceConfig(
                 socket_path=str(tmp_path / "svc.sock"),
                 max_batch=1,
-                linger_s=0.0,
                 shards=2,
             ),
             fault_plan=FaultPlan.parse("kill@0;kill@6"),

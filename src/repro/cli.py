@@ -55,7 +55,7 @@ from repro.extraction.pipeline import RecordExtractor
 from repro.linkgrammar.parser import LinkGrammarParser
 from repro.nlp.pipeline import analyze
 from repro.records.loader import load_records, save_records
-from repro.runtime.tracing import (
+from repro.tracing import (
     Tracer,
     build_manifest,
     model_fingerprint,
@@ -178,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument(
         "--profile-stages", action="store_true",
         help="attribute extraction wall time to pipeline stages "
-             "(tokenize, pos, term-scan, numeric, ...); the per-stage "
-             "table prints with --stats and rides into --trace "
-             "manifests",
+             "(tokenize, split, pos, term-scan, numeric, parse, ...); "
+             "the per-stage table prints with --stats and rides into "
+             "--trace manifests",
     )
     extract.add_argument(
         "--trace", type=Path, default=None, metavar="JSONL",
@@ -678,7 +678,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 )
             },
             parser_stats=runner.engine_stats.get("parser", {}),
-            stage_stats=runner.engine_stats.get("stages", {}),
+            stage_stats=runner.stats()["stages"],
         )
         written = tracer.write_jsonl(args.trace, manifest)
         print(
@@ -745,7 +745,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             ):
                 share = seconds[name] / total if total else 0.0
                 print(
-                    f"  {name:<12} {seconds[name]:8.3f}s "
+                    f"  {name:<14} {seconds[name]:8.3f}s "
                     f"{share:6.1%}  x{counts.get(name, 0)}"
                 )
     return 0

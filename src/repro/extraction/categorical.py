@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import tracing
 from repro.errors import TrainingError
 from repro.extraction.schema import CategoricalAttribute
 from repro.linkgrammar.constituents import Role, assign_roles, head_words
@@ -31,7 +32,6 @@ from repro.morphology.lemmatizer import Lemmatizer
 from repro.nlp.document import SentenceView
 from repro.nlp.pipeline import Pipeline
 from repro.records.model import PatientRecord
-from repro.runtime import tracing
 from repro.runtime.cache import DocumentCache, LinkageCache
 
 #: POS-class name → Penn tag prefixes.

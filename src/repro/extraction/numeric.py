@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from repro import profiling
+from repro import tracing
 from repro.extraction.features import FeatureLexicon, FeatureMention
 from repro.extraction.schema import (
     NUMERIC_ATTRIBUTES,
@@ -38,7 +38,6 @@ from repro.linkgrammar.parser import LinkGrammarParser
 from repro.nlp.document import Document, SentenceView
 from repro.nlp.pipeline import Pipeline, default_pipeline
 from repro.records.model import PatientRecord
-from repro.runtime import tracing
 from repro.runtime.cache import DocumentCache, LinkageCache
 
 #: Words the patterns allow between the feature and its number.
@@ -228,7 +227,7 @@ class NumericExtractor:
         """
         results: dict[str, NumericExtraction | None] = {}
         documents: dict[str, Document] = {}
-        with profiling.stage("numeric"):
+        with tracing.span("numeric"):
             for attr in self.attributes:
                 text = record.section_text(attr.section)
                 if not text:

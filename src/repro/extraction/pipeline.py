@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro import profiling
+from repro import tracing
 from repro.errors import TrainingError
 from repro.extraction.categorical import CategoricalClassifier
 from repro.extraction.numeric import NumericExtraction, NumericExtractor
@@ -27,7 +27,6 @@ from repro.linkgrammar.parser import LinkGrammarParser
 from repro.ml.id3 import ID3Classifier
 from repro.ml.serialize import tree_from_dict
 from repro.records.model import PatientRecord
-from repro.runtime import tracing
 from repro.runtime.cache import ExtractionCaches
 from repro.synth.gold import GoldAnnotations
 
@@ -317,19 +316,18 @@ class RecordExtractor:
         """Extract every attribute the extractor knows how to handle.
 
         Every emitted value also gets a :class:`Provenance` entry; the
-        whole record runs under one ``record`` span when tracing is
+        whole record runs under one ``record`` span when a tracer is
         active.
         """
         result = ExtractionResult(patient_id=record.patient_id)
-        with tracing.span("record", record.patient_id), \
-                profiling.stage("record"):
+        with tracing.span("record", record.patient_id):
             result.numeric = self.numeric.extract_record(record)
             terms, assigned = self.terms.extract_record_detailed(
                 record
             )
             result.terms = terms
             paths: dict[str, str] = {}
-            with profiling.stage("categorical"):
+            with tracing.span("categorical"):
                 for name, classifier in self.categorical.items():
                     label, path = (
                         classifier.predict_record_detailed(record)
@@ -401,7 +399,4 @@ class RecordExtractor:
         parser = getattr(self.numeric, "parser", None)
         if parser is not None:
             out["parser"] = parser.stats.to_dict()
-        profiler = profiling.active()
-        if profiler is not None:
-            out["stages"] = profiler.counters()
         return out

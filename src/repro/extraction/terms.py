@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import profiling
+from repro import tracing
 from repro.extraction.negation import blocked_token_indices
 from repro.extraction.schema import TERMS_ATTRIBUTES, TermsAttribute
 from repro.nlp.document import SentenceView
@@ -36,7 +36,6 @@ from repro.ontology.concept import ConceptMatch, SemanticType
 from repro.ontology.normalizer import TermNormalizer
 from repro.ontology.store import CompiledOntology, OntologyStore
 from repro.records.model import PatientRecord
-from repro.runtime import tracing
 from repro.runtime.cache import DocumentCache
 
 #: The candidate patterns, ordered longest first: the paper's four
@@ -191,7 +190,7 @@ class TermExtractor:
                         if text
                         else []
                     )
-            with profiling.stage("term-assign"):
+            with tracing.span("term-assign"):
                 pairs = self._assign_hits(attr, section_hits[key])
             assigned[attr.name] = pairs
             results[attr.name] = [name for name, _ in pairs]
@@ -209,7 +208,7 @@ class TermExtractor:
             else self.pipeline.process_text(text)
         )
         hits: list[TermHit] = []
-        with profiling.stage("term-scan"):
+        with tracing.span("term-scan"):
             for view in document.sentence_views():
                 hits.extend(self._scan_view(view, semantic_types))
         return hits

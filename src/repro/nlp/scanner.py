@@ -28,7 +28,7 @@ from repro.nlp.numbers import collect_number_features
 from repro.nlp.pos_tagger import PosTagger
 from repro.nlp.sentence_splitter import sentence_boundaries
 from repro.nlp.tokenizer import scan_tokens
-from repro import profiling
+from repro import tracing
 
 
 class FusedScanner:
@@ -38,15 +38,15 @@ class FusedScanner:
         self.tagger = PosTagger()
 
     def annotate(self, document: Document) -> None:
-        with profiling.stage("tokenize"):
+        with tracing.span("tokenize"):
             texts, kinds, spans = scan_tokens(document.text)
         if not texts:
             return
 
-        with profiling.stage("sentence"):
+        with tracing.span("split"):
             bounds = sentence_boundaries(document.text, spans, texts)
 
-        with profiling.stage("pos"):
+        with tracing.span("pos"):
             # Sentences tile the tokens in order and end where a token
             # ends, so bisecting the token ends finds each sentence's
             # token range.
@@ -72,7 +72,7 @@ class FusedScanner:
             "Sentence", [(start, end, {}) for start, end in bounds]
         )
 
-        with profiling.stage("number"):
+        with tracing.span("number"):
             numbers = annotations.extend(
                 "Number", collect_number_features(texts, kinds, spans)
             )

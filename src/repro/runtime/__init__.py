@@ -7,8 +7,8 @@ The batch engine behind ``repro extract --workers N``:
 * :mod:`repro.runtime.parsecache` — the parse store behind every
   linkage cache: one key, one outcome format, held in memory or in a
   sidecar file that carries parses across runs;
-* :mod:`repro.runtime.metrics` — monotonic timers and counters, merged
-  across worker processes and dumped as JSON by the benchmarks;
+* :mod:`repro.runtime.metrics` — monotonic timers and counters, and
+  the nested counter deltas merged across worker processes;
 * :mod:`repro.runtime.compiled` — ahead-of-time compiled artifacts
   (expanded grammar + connector match table, in-memory ontology
   index) that warm-start the whole stack from one pickle load;
@@ -22,9 +22,6 @@ The batch engine behind ``repro extract --workers N``:
   pool initializer that builds one extraction stack per worker, the
   chunk function, and the hand-off of the parent's warm stack to
   forked children;
-* :mod:`repro.runtime.tracing` — hierarchical span tracing and run
-  manifests (zero-cost no-op when disabled), the engine's
-  observability layer;
 * :mod:`repro.runtime.faults` — deterministic, seed-reproducible
   fault injection (``--inject-faults``) that proves the resilience
   layer works;
@@ -34,13 +31,14 @@ The batch engine behind ``repro extract --workers N``:
   through the corpus runner, per-request deadlines, and graceful
   drain.
 
-Import order note: :mod:`repro.runtime.tracing` must stay dependency-
-free within the package (cache and runner import it), and
-:mod:`repro.runtime.runner` must not import
+Spans, stage timing and run manifests live in :mod:`repro.tracing`,
+outside this package: the NLP scanner instruments its hot loop with
+it, and this package's init imports the NLP pipeline.
+
+Import order note: :mod:`repro.runtime.runner` must not import
 :mod:`repro.runtime.resilience` (the reverse dependency is real).
 """
 
-from repro.runtime import tracing
 from repro.runtime.cache import (
     DocumentCache,
     ExtractionCaches,
@@ -66,17 +64,10 @@ from repro.runtime.resilience import (
     corpus_digest,
 )
 from repro.runtime.service import ExtractionService, ServiceConfig
-from repro.runtime.tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    build_manifest,
-)
+from repro.tracing import Span, Tracer, build_manifest
 
 __all__ = [
     "ARTIFACT_VERSION",
-    "NULL_TRACER",
     "CompiledArtifact",
     "CompiledGrammar",
     "CorpusRunner",
@@ -89,7 +80,6 @@ __all__ = [
     "LRUCache",
     "LinkageCache",
     "Metrics",
-    "NullTracer",
     "QuarantineEntry",
     "ResilientCorpusRunner",
     "RetryPolicy",
@@ -103,5 +93,4 @@ __all__ = [
     "diff_stats",
     "merge_stats",
     "source_fingerprint",
-    "tracing",
 ]

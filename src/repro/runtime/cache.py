@@ -32,13 +32,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable, Sequence
 
+from repro import tracing
 from repro.errors import ParseFailure, ParseTimeout
 from repro.linkgrammar.dictionary import LEFT_WALL
 from repro.linkgrammar.linkage import Link, Linkage
 from repro.linkgrammar.parser import LinkGrammarParser
 from repro.nlp.document import Document
 from repro.nlp.pipeline import Pipeline, default_pipeline
-from repro.runtime import tracing
 from repro.runtime.parsecache import (
     OUTCOME_FAIL,
     OUTCOME_OK,
@@ -237,7 +237,7 @@ class LinkageCache:
                 self._lru.put(key, entry)
             else:
                 parser.stats.persistent_misses += 1
-        if not tracing.enabled():
+        if tracing.current() is None:
             return self._resolve(parser, words, tags, key, entry)
         with tracing.span(
             "parse",

@@ -3,10 +3,10 @@
 Every layer of the batch engine — the parser's pruning pass, the
 document/linkage caches, the corpus runner — reports into plain nested
 dicts of numbers so that worker processes can ship deltas back to the
-parent and benchmarks can dump one JSON artifact.  Two shapes appear:
+parent.  Two shapes appear:
 
-* a :class:`Metrics` object holds flat ``counters`` (ints) and
-  ``timers`` (seconds, floats) and knows how to merge and serialize;
+* a :class:`Metrics` object holds one process's flat ``counters``
+  (ints), ``timers`` (seconds, floats) and ``gauges``;
 * free functions :func:`merge_stats` / :func:`diff_stats` operate on
   arbitrary nested dicts whose leaves are numbers, which is what the
   extractor-level ``counters()`` snapshots look like.
@@ -14,14 +14,13 @@ parent and benchmarks can dump one JSON artifact.  Two shapes appear:
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
 
 class Metrics:
-    """Flat counter + timer registry, JSON-dumpable and mergeable."""
+    """Flat counter, timer and gauge registry."""
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
@@ -40,8 +39,7 @@ class Metrics:
         """Record a point-in-time level (cache size, init cost).
 
         Unlike counters and timers, gauges are not additive: setting
-        overwrites, and merging keeps the maximum — the right
-        aggregate for "worst worker" style readings.
+        overwrites.
         """
         self.gauges[name] = value
 
@@ -62,39 +60,6 @@ class Metrics:
         if elapsed <= 0.0:
             return 0.0
         return self.counters.get(counter, 0) / elapsed
-
-    # -------------------------------------------------------- serialize
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "counters": dict(self.counters),
-            "timers_s": dict(self.timers),
-        }
-        if self.gauges:
-            out["gauges"] = dict(self.gauges)
-        return out
-
-    def to_json(self, indent: int = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Metrics":
-        metrics = cls()
-        metrics.counters.update(data.get("counters", {}))
-        metrics.timers.update(data.get("timers_s", {}))
-        metrics.gauges.update(data.get("gauges", {}))
-        return metrics
-
-    def merge(self, other: "Metrics | dict[str, Any]") -> None:
-        """Add *other*'s counters and timers; gauges keep the max."""
-        if isinstance(other, Metrics):
-            other = other.to_dict()
-        for name, value in other.get("counters", {}).items():
-            self.count(name, value)
-        for name, value in other.get("timers_s", {}).items():
-            self.add_time(name, value)
-        for name, value in other.get("gauges", {}).items():
-            self.gauges[name] = max(self.gauges.get(name, value), value)
 
 
 def guarded_ratio(

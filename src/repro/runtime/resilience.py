@@ -48,15 +48,13 @@ import traceback as traceback_module
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro import profiling
+from repro import tracing
 from repro.errors import ResilienceError
 from repro.records.model import PatientRecord
-from repro.runtime import tracing
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import Metrics, diff_stats, merge_stats
 from repro.runtime.runner import (
@@ -68,7 +66,7 @@ from repro.runtime.runner import (
     bind_store,
     published,
 )
-from repro.runtime.tracing import Span, Tracer
+from repro.tracing import Span, StageTimer, Tracer
 
 if TYPE_CHECKING:
     from repro.extraction.pipeline import (
@@ -405,15 +403,17 @@ class CorpusRunner:
         self.workers = workers
         self.chunk_size = chunk_size
         #: When set, the run (and every pool worker) attributes wall
-        #: time to pipeline stages; merged per-stage seconds/counts
+        #: time to span kinds; the merged per-kind seconds and counts
         #: land in ``stats()["stages"]``.
         self.profile_stages = profile_stages
-        self.stage_profiler = (
-            profiling.StageProfiler() if profile_stages else None
-        )
         #: When set, every run records one span tree per record here
         #: (worker trees are merged back in input order).
         self.tracer = tracer
+        #: The tracer every chunk records into: the caller's, else a
+        #: tree-less one when stages are profiled, else none.
+        self._recorder: Tracer | None = tracer
+        if tracer is None and profile_stages:
+            self._recorder = StageTimer()
         self.policy = policy or RetryPolicy()
         if isinstance(journal, (str, Path)):
             journal = Journal(journal)
@@ -472,14 +472,8 @@ class CorpusRunner:
             if self.fault_plan
             else None
         )
-        context: Any = (
-            profiling.activated(self.stage_profiler)
-            if self.stage_profiler is not None
-            else nullcontext()
-        )
-        with context:
-            with self.metrics.time("extract_seconds"):
-                results = self._run_resilient(records, plan)
+        with self.metrics.time("extract_seconds"):
+            results = self._run_resilient(records, plan)
         self.metrics.count("records", len(records))
         return results
 
@@ -564,7 +558,11 @@ class CorpusRunner:
                 if before
                 else 0.0
             ),
-            "stages": self.engine_stats.get("stages", {}),
+            "stages": (
+                self._recorder.stages()
+                if self._recorder is not None and self.profile_stages
+                else {}
+            ),
             "engine": self.engine_stats,
             **{
                 name: counters.get(name, 0)
@@ -797,21 +795,10 @@ class CorpusRunner:
         self, task: _ChunkTask, plan: FaultPlan | None
     ) -> tuple[int, "list[ExtractionResult]", dict[str, Any]]:
         before = self.extractor.counters()
-        roots_before = (
-            len(self.tracer.roots) if self.tracer is not None else 0
-        )
+        tracer = self._recorder
+        checkpoint = tracer.checkpoint() if tracer is not None else None
         try:
-            if self.tracer is not None:
-                with tracing.activated(self.tracer):
-                    results = _extract_records(
-                        self.extractor,
-                        task.records,
-                        task.start,
-                        task.attempt,
-                        plan,
-                        self.index_map,
-                    )
-            else:
+            with tracing.activated(tracer):
                 results = _extract_records(
                     self.extractor,
                     task.records,
@@ -822,10 +809,10 @@ class CorpusRunner:
                 )
         except Exception:
             _reset_caches(self.extractor)
-            if self.tracer is not None:
-                # Drop spans from the failed attempt so a retry does
-                # not duplicate them.
-                del self.tracer.roots[roots_before:]
+            if tracer is not None and checkpoint is not None:
+                # Drop the failed attempt's trees and stage time so a
+                # retry does not count them twice.
+                tracer.rollback(checkpoint)
             raise
         delta = diff_stats(self.extractor.counters(), before)
         return task.start, results, delta
@@ -881,10 +868,11 @@ class CorpusRunner:
             str(self.parse_cache.path)
             if self.parse_cache.path is not None
             else None,
-            self.profile_stages,
         )
-        trace = self.tracer is not None
-        spans_by_start: dict[int, list[dict]] = {}
+        tracer_class = (
+            type(self._recorder) if self._recorder is not None else None
+        )
+        traces: dict[int, dict[str, Any]] = {}
         rebuilds = 0
         pool = self._make_pool(initargs, len(tasks))
         futures: dict[Any, _ChunkTask] = {}
@@ -896,7 +884,7 @@ class CorpusRunner:
                         payload = (
                             task.start,
                             task.records,
-                            trace,
+                            tracer_class,
                             task.attempt,
                             plan,
                         )
@@ -918,7 +906,7 @@ class CorpusRunner:
                                 start,
                                 results,
                                 delta,
-                                spans,
+                                trace,
                                 parse_delta,
                             ) = future.result()
                         except BrokenProcessPool as error:
@@ -939,15 +927,15 @@ class CorpusRunner:
                                 completed,
                                 parse_delta,
                             )
-                            if spans:
-                                spans_by_start[start] = spans
+                            if trace is not None:
+                                traces[start] = trace
                     if broken is not None:
                         raise broken
                 except BrokenProcessPool:
                     rebuilds += 1
                     self.metrics.count("pool_rebuilds")
                     self._salvage_in_flight(
-                        futures, tasks, completed, spans_by_start
+                        futures, tasks, completed, traces
                     )
                     self._trace_event(
                         "pool-rebuild",
@@ -969,21 +957,16 @@ class CorpusRunner:
                     pool = self._make_pool(initargs, len(tasks))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-        if self.tracer is not None:
-            for start in sorted(spans_by_start):
-                self.tracer.merge(
-                    [
-                        Span.from_dict(span)
-                        for span in spans_by_start[start]
-                    ]
-                )
+        if self._recorder is not None:
+            for start in sorted(traces):
+                self._recorder.merge(traces[start])
 
     def _salvage_in_flight(
         self,
         futures: "dict[Any, _ChunkTask]",
         tasks: "deque[_ChunkTask]",
         completed: "dict[int, list[ExtractionResult]]",
-        spans_by_start: dict[int, list[dict]],
+        traces: dict[int, dict[str, Any]],
     ) -> None:
         """After a pool break: keep finished results, requeue the rest."""
         for future, task in list(futures.items()):
@@ -994,7 +977,7 @@ class CorpusRunner:
                         start,
                         results,
                         delta,
-                        spans,
+                        trace,
                         parse_delta,
                     ) = future.result(timeout=0)
                 except BaseException:
@@ -1003,8 +986,8 @@ class CorpusRunner:
                     self._complete(
                         start, results, delta, completed, parse_delta
                     )
-                    if spans:
-                        spans_by_start[start] = spans
+                    if trace is not None:
+                        traces[start] = trace
                     salvaged = True
             if not salvaged:
                 tasks.append(replace(task, attempt=task.attempt + 1))

@@ -16,8 +16,9 @@ those pool workers (and the service's forked shard children) run:
 * :func:`_extract_chunk`, the one chunk function, fires scheduled
   faults, extracts each record, resets the caches on failure, and
   returns the results with the worker's counter delta (cache hits,
-  prune ratio, parse time), its span trees, and the parse outcomes it
-  added, which the parent merges into its store.
+  prune ratio, parse time), its trace delta (stage totals and span
+  trees), and the parse outcomes it added, which the parent merges
+  into its store.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro import profiling
+from repro import tracing
 from repro.records.model import PatientRecord
-from repro.runtime import tracing
 from repro.runtime.faults import FaultPlan, mark_worker
 from repro.runtime.metrics import diff_stats
 from repro.runtime.parsecache import PersistentParseCache
-from repro.runtime.tracing import Tracer
+from repro.tracing import Tracer
 
 if TYPE_CHECKING:  # real imports are deferred: extraction imports us
     from repro.extraction.pipeline import (
@@ -106,7 +106,6 @@ def _init_worker(
     artifact_path: str | None = None,
     document_cache_size: int | None = None,
     parse_cache_path: str | None = None,
-    profile_stages: bool = False,
 ) -> None:
     """Build one extraction stack per worker process.
 
@@ -120,11 +119,6 @@ def _init_worker(
     global _WORKER_INIT_REPORTED
     started = time.perf_counter()
     mark_worker()
-    if profile_stages and profiling.active() is None:
-        # Process-wide for the worker's lifetime: _extract_chunk runs
-        # outside this frame, and chunk deltas pick the numbers up
-        # through the extractor's counters() snapshots.
-        profiling.activate(profiling.StageProfiler())
     artifact = _SHARED_ARTIFACT
     if artifact is None and artifact_path is not None:
         from repro.errors import ArtifactError
@@ -233,41 +227,39 @@ def _reset_caches(extractor: "RecordExtractor") -> None:
 
 def _extract_chunk(
     payload: tuple[
-        int, tuple[PatientRecord, ...], bool, int, FaultPlan | None
+        int,
+        tuple[PatientRecord, ...],
+        type[Tracer] | None,
+        int,
+        FaultPlan | None,
     ],
 ) -> tuple[
     int,
     "list[ExtractionResult]",
     dict[str, Any],
-    list[dict],
+    dict[str, Any] | None,
     dict[tuple, tuple],
 ]:
-    """Extract one chunk; returns (start, results, deltas, spans,
+    """Extract one chunk; returns (start, results, deltas, trace,
     parse_delta).
 
-    With tracing requested, the chunk runs under a worker-local
-    :class:`Tracer` and ships its span trees back serialized, exactly
-    like the counter deltas — the parent re-assembles them in input
-    order so a parallel trace equals a serial one record-for-record.
+    The payload's tracer class is the worker's one instrumentation
+    switch: when set, the chunk runs under a fresh tracer of the
+    parent's class and ships ``trace``, its stage totals and span
+    trees (:meth:`Tracer.to_dict`), which the parent adopts in input
+    order, so a parallel trace lists a serial one's records in order.
     ``parse_delta`` carries the parse outcomes this worker added to
     its parse store during the chunk; the parent merges them so one
     run's store sees every worker's work.
     A failed chunk resets the worker's caches before it re-raises.
     """
-    start, records, trace, attempt, plan = payload
+    start, records, tracer_class, attempt, plan = payload
     extractor = _WORKER_EXTRACTOR
     assert extractor is not None, "pool initializer did not run"
     before = extractor.counters()
-    spans: list[dict] = []
+    tracer = tracer_class() if tracer_class is not None else None
     try:
-        if trace:
-            tracer = Tracer()
-            with tracing.activated(tracer):
-                results = _extract_records(
-                    extractor, records, start, attempt, plan
-                )
-            spans = [root.to_dict() for root in tracer.roots]
-        else:
+        with tracing.activated(tracer):
             results = _extract_records(
                 extractor, records, start, attempt, plan
             )
@@ -277,7 +269,8 @@ def _extract_chunk(
     delta = diff_stats(extractor.counters(), before)
     delta = _attach_init_report(delta)
     parse_delta = extractor.caches.linkages.store.drain_delta()
-    return start, results, delta, spans, parse_delta
+    trace = tracer.to_dict() if tracer is not None else None
+    return start, results, delta, trace, parse_delta
 
 
 def _attach_init_report(delta: dict[str, Any]) -> dict[str, Any]:

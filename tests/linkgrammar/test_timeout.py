@@ -7,12 +7,12 @@ paper's linguistic patterns and still produces values.
 
 import pytest
 
+from repro import tracing
 from repro.errors import ParseFailure, ParseTimeout
 from repro.extraction.numeric import NumericExtractor
 from repro.linkgrammar import LinkGrammarParser
-from repro.runtime import tracing
-from repro.runtime.tracing import Tracer
 from repro.synth import CohortSpec, RecordGenerator
+from repro.tracing import Tracer
 
 FIGURE1 = (
     "blood pressure is 144/90 , pulse of 84 , temperature of 98.3 , "

@@ -1,6 +1,4 @@
-"""Metrics registry: counters, timers, merging, serialization."""
-
-import json
+"""Metrics registry: counters and timers; nested stat deltas."""
 
 from repro.runtime.metrics import Metrics, diff_stats, merge_stats
 
@@ -28,23 +26,6 @@ class TestMetrics:
 
     def test_rate_without_timer_is_zero(self):
         assert Metrics().rate("records", "seconds") == 0.0
-
-    def test_json_round_trip(self):
-        metrics = Metrics()
-        metrics.count("a", 3)
-        metrics.add_time("b", 1.5)
-        loaded = Metrics.from_dict(json.loads(metrics.to_json()))
-        assert loaded.counters == {"a": 3}
-        assert loaded.timers == {"b": 1.5}
-
-    def test_merge(self):
-        a, b = Metrics(), Metrics()
-        a.count("x", 1)
-        b.count("x", 2)
-        b.add_time("t", 0.5)
-        a.merge(b)
-        assert a.counters["x"] == 3
-        assert a.timers["t"] == 0.5
 
 
 class TestNestedStats:

@@ -1,10 +1,26 @@
-"""Stage profiler: exclusive-time semantics and engine integration."""
+"""Stage timing: exclusive-time semantics and engine integration.
 
+Every span of :mod:`repro.tracing` is timed; these tests hold the
+per-kind totals that ``--profile-stages`` prints, and the span trees
+that a tracer records alongside them, to the runner's contracts.
+"""
+
+import math
 import time
 
-from repro import profiling
-from repro.runtime import CorpusRunner
+import pytest
+
+from repro import tracing
+from repro.extraction import RecordExtractor
+from repro.runtime import CorpusRunner, FaultPlan, RetryPolicy
 from repro.synth import CohortSpec, RecordGenerator
+from repro.tracing import TIMING_KINDS, StageTimer, Tracer
+
+#: The decision kinds an extraction trace is made of.
+TREE_KINDS = {
+    "record", "section", "attribute", "sentence", "association",
+    "parse", "parse-timeout", "lookup", "classification",
+}
 
 
 def _cohort(size=6):
@@ -18,58 +34,87 @@ def _cohort(size=6):
     )
 
 
+def _shape(span):
+    """A span tree without its timings."""
+    return (
+        span.kind,
+        span.name,
+        span.attributes,
+        [_shape(child) for child in span.children],
+    )
+
+
+@pytest.fixture(autouse=True)
+def _reset_active_tracer():
+    yield
+    tracing.activate(None)
+
+
 class TestStageProfiler:
     def test_exclusive_nesting_sums_to_outer_wall_time(self):
-        profiler = profiling.StageProfiler()
-        with profiling.activated(profiler):
-            with profiling.stage("outer"):
+        tracer = Tracer()
+        with tracing.activated(tracer):
+            with tracing.span("outer"):
                 time.sleep(0.01)
-                with profiling.stage("inner"):
+                with tracing.span("inner"):
                     time.sleep(0.01)
                 time.sleep(0.01)
-        seconds = profiler.seconds
+        seconds = tracer.seconds
         assert seconds["inner"] >= 0.009
         # Exclusive attribution: outer's time excludes inner's.
         assert seconds["outer"] >= 0.019
-        assert seconds["outer"] + seconds["inner"] == (
-            profiler.total_seconds()
+        assert math.isclose(
+            seconds["outer"] + seconds["inner"],
+            tracer.roots[0].duration,
+            rel_tol=1e-9,
         )
-        assert profiler.counts == {"outer": 1, "inner": 1}
+        assert tracer.counts == {"outer": 1, "inner": 1}
 
     def test_counters_shape_is_merge_friendly(self):
         from repro.runtime.metrics import diff_stats, merge_stats
 
-        profiler = profiling.StageProfiler()
-        with profiling.activated(profiler):
-            with profiling.stage("a"):
+        timer = StageTimer()
+        with tracing.activated(timer):
+            with tracing.span("a"):
                 pass
-        before = profiler.counters()
-        with profiling.activated(profiler):
-            with profiling.stage("a"):
+        before = timer.stages()
+        assert set(before) == {"seconds", "counts"}
+        with tracing.activated(timer):
+            with tracing.span("a"):
                 pass
-        delta = diff_stats(profiler.counters(), before)
+        delta = diff_stats(timer.stages(), before)
         assert delta["counts"]["a"] == 1
         merged: dict = {}
         merge_stats(merged, delta)
         merge_stats(merged, delta)
         assert merged["counts"]["a"] == 2
+        # A tracer adopts another's totals the way the runner adopts
+        # a worker chunk's; a stage timer keeps no trees.
+        parent = StageTimer()
+        parent.merge(timer.to_dict())
+        parent.merge(timer.to_dict())
+        assert parent.counts == {"a": 4}
+        assert timer.roots == [] and parent.roots == []
 
     def test_stage_is_noop_without_active_profiler(self):
-        assert profiling.active() is None
-        assert not profiling.enabled()
+        assert tracing.current() is None
+        assert not tracing.enabled()
         # The shared null context must be reused, not allocated.
-        assert profiling.stage("x") is profiling.stage("y")
-        with profiling.stage("x"):
+        assert tracing.span("x") is tracing.span("y")
+        with tracing.span("x"):
             pass
 
     def test_activated_restores_previous(self):
-        outer = profiling.StageProfiler()
-        inner = profiling.StageProfiler()
-        with profiling.activated(outer):
-            with profiling.activated(inner):
-                assert profiling.active() is inner
-            assert profiling.active() is outer
-        assert profiling.active() is None
+        outer = StageTimer()
+        inner = Tracer()
+        with tracing.activated(outer):
+            assert tracing.current() is outer
+            assert not tracing.enabled()  # totals only, no trees
+            with tracing.activated(inner):
+                assert tracing.current() is inner
+                assert tracing.enabled()
+            assert tracing.current() is outer
+        assert tracing.current() is None
 
 
 class TestRunnerIntegration:
@@ -78,6 +123,10 @@ class TestRunnerIntegration:
         runner = CorpusRunner()
         runner.run(records)
         assert runner.stats()["stages"] == {}
+        # A tracer alone records trees, not a stage table.
+        traced = CorpusRunner(tracer=Tracer())
+        traced.run(records)
+        assert traced.stats()["stages"] == {}
 
     def test_serial_stages_sum_to_extract_time(self):
         records, _ = _cohort()
@@ -86,8 +135,9 @@ class TestRunnerIntegration:
         assert runner.run(records) == baseline.run(records)
         stages = runner.stats()["stages"]
         expected = {
-            "record", "tokenize", "sentence", "pos", "number",
-            "term-scan", "term-assign", "numeric",
+            "record", "tokenize", "split", "pos", "number",
+            "term-scan", "term-assign", "numeric", "section",
+            "attribute",
         }
         assert expected <= set(stages["seconds"])
         assert stages["counts"]["record"] == len(records)
@@ -108,6 +158,75 @@ class TestRunnerIntegration:
         stages = runner.stats()["stages"]
         assert stages["counts"]["record"] == len(records)
         assert stages["seconds"]["numeric"] > 0.0
+
+
+class TestStagesAndTrees:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_profiling_leaves_trees_unchanged(self, workers):
+        """Stage timing adds no span and changes no tree."""
+        records, _ = _cohort(8)
+        # A store holding every parse makes each parallel lookup a
+        # hit, whichever worker runs a chunk.
+        warm = CorpusRunner()
+        warm.run(records)
+        trees, stages = {}, {}
+        for profile_stages in (False, True):
+            tracer = Tracer()
+            runner = CorpusRunner(
+                RecordExtractor(),
+                workers=workers,
+                chunk_size=2,
+                tracer=tracer,
+                profile_stages=profile_stages,
+                parse_cache=warm.parse_cache,
+            )
+            runner.run(records)
+            trees[profile_stages] = [
+                _shape(root) for root in tracer.roots
+            ]
+            stages[profile_stages] = runner.stats()["stages"]
+            kinds = {
+                span.kind for root in tracer.roots for span in root.walk()
+            }
+            assert not kinds & TIMING_KINDS
+            assert kinds <= TREE_KINDS
+        assert trees[True] == trees[False]
+        assert len(trees[True]) == len(records)
+        assert stages[False] == {}
+        counts = stages[True]["counts"]
+        assert counts["split"] == counts["tokenize"]
+
+
+class TestFailedAttemptsLeaveNoTrace:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", ["raise@2", "raise@3"])
+    def test_failed_attempts_leave_no_trace(self, workers, spec):
+        """Retried and bisected chunks count each record once.
+
+        ``raise@3`` fails a chunk after record 2 has been extracted
+        in it, so the failed attempts did record a tree and stage
+        time that must be rolled back.
+        """
+        records, _ = _cohort(8)
+        tracer = Tracer()
+        runner = CorpusRunner(
+            workers=workers,
+            chunk_size=2,
+            tracer=tracer,
+            fault_plan=FaultPlan.parse(spec),
+            policy=RetryPolicy(max_attempts=2, backoff_base_s=0),
+            profile_stages=True,
+        )
+        results = runner.run(records)
+        assert len(results) == 7
+        names = [
+            root.name for root in tracer.roots if root.kind == "record"
+        ]
+        assert len(names) == len(set(names)) == 7
+        assert runner.stats()["stages"]["counts"]["record"] == 7
+        assert [
+            root.kind for root in tracer.roots if root.kind != "record"
+        ] == ["chunk-retry", "chunk-bisect", "chunk-retry", "quarantine"]
 
 
 class TestNormalizationHoisting:

@@ -1,9 +1,11 @@
-"""Tracing subsystem: spans, no-op cost, merging, manifests, identity.
+"""Span trees: nesting, no-op cost, merging, manifests, identity.
 
 The acceptance bar for observability is that it observes without
 disturbing: the property test at the bottom asserts extraction output
 is bit-for-bit identical with tracing enabled and disabled, and the
 no-op tests pin the disabled path to a shared singleton context.
+Stage timing, the other half of :mod:`repro.tracing`, is tested in
+``test_profiling.py``.
 """
 
 import json
@@ -11,18 +13,17 @@ import time
 
 import pytest
 
+from repro import tracing
 from repro.extraction import RecordExtractor
-from repro.runtime import CorpusRunner, tracing
-from repro.runtime.tracing import (
-    NULL_TRACER,
-    NullTracer,
+from repro.runtime import CorpusRunner
+from repro.synth import CohortSpec, RecordGenerator
+from repro.tracing import (
     Span,
     Tracer,
     build_manifest,
     model_fingerprint,
     read_jsonl,
 )
-from repro.synth import CohortSpec, RecordGenerator
 
 
 @pytest.fixture(scope="module")
@@ -95,19 +96,21 @@ class TestSpanTree:
 
 class TestNullTracer:
     def test_span_returns_shared_noop_context(self):
-        first = NULL_TRACER.span("record", "a", big="attr")
-        second = NULL_TRACER.span("sentence")
+        first = tracing.span("record", "a", big="attr")
+        second = tracing.span("sentence")
         assert first is second  # no allocation per span
 
     def test_default_active_tracer_is_disabled(self):
-        assert tracing.current() is NULL_TRACER
+        assert tracing.current() is None
         assert not tracing.enabled()
 
     def test_noop_records_nothing(self):
+        bystander = Tracer()
         with tracing.span("record", "p1"):
             tracing.annotate(method="x")
             tracing.event("lookup")
-        assert isinstance(tracing.current(), NullTracer)
+        assert tracing.current() is None
+        assert bystander.roots == [] and bystander.counts == {}
 
     def test_noop_overhead_is_small(self):
         started = time.perf_counter()
@@ -125,7 +128,7 @@ class TestActivation:
             assert tracing.current() is tracer
             with tracing.span("record", "p1"):
                 pass
-        assert tracing.current() is NULL_TRACER
+        assert tracing.current() is None
         assert [root.name for root in tracer.roots] == ["p1"]
 
     def test_activated_restores_on_error(self):
@@ -133,7 +136,7 @@ class TestActivation:
         with pytest.raises(RuntimeError):
             with tracing.activated(tracer):
                 raise RuntimeError("boom")
-        assert tracing.current() is NULL_TRACER
+        assert tracing.current() is None
 
 
 class TestMergeAcrossWorkers:
@@ -143,9 +146,10 @@ class TestMergeAcrossWorkers:
             pass
         with worker2.span("record", "b"):
             pass
-        parent.merge(worker1.roots)
-        parent.merge(worker2.roots)
+        parent.merge(worker1.to_dict())
+        parent.merge(worker2.to_dict())
         assert [root.name for root in parent.roots] == ["a", "b"]
+        assert parent.counts == {"record": 2}
 
     def test_parallel_trace_matches_serial(self, cohort):
         records, _ = cohort

@@ -205,7 +205,6 @@ class RecordExtractor:
         cls,
         artifact: "Any",
         parse_budget: float | None = None,
-        document_cache_size: int | None = None,
     ) -> "RecordExtractor":
         """Build from a compiled artifact (path or object).
 
@@ -217,10 +216,7 @@ class RecordExtractor:
 
         if not isinstance(artifact, CompiledArtifact):
             artifact = CompiledArtifact.load(artifact)
-        return artifact.make_extractor(
-            parse_budget=parse_budget,
-            document_cache_size=document_cache_size,
-        )
+        return artifact.make_extractor(parse_budget=parse_budget)
 
     def train_categorical(
         self,

@@ -19,9 +19,9 @@ The batch engine behind ``repro extract --workers N``:
   poison-record quarantine, worker-pool recovery, and journal-based
   checkpoint/resume;
 * :mod:`repro.runtime.runner` — the runner's worker-process side: the
-  pool initializer that builds one extraction stack per worker, the
-  chunk function, and the hand-off of the parent's warm stack to
-  forked children;
+  one initializer by which forked pool workers and shard children
+  take over the parent's extractor and parse store, and the chunk
+  function;
 * :mod:`repro.runtime.faults` — deterministic, seed-reproducible
   fault injection (``--inject-faults``) that proves the resilience
   layer works;
@@ -29,7 +29,10 @@ The batch engine behind ``repro extract --workers N``:
   behind ``repro serve``: a JSON-lines socket protocol, a bounded
   queue with shed-load backpressure, a micro-batcher dispatching
   through the corpus runner, per-request deadlines, and graceful
-  drain.
+  drain;
+* :mod:`repro.runtime.sharding` — the one batch body every served
+  batch runs through, and the forked shard children behind
+  ``repro serve --shards N``.
 
 Spans, stage timing and run manifests live in :mod:`repro.tracing`,
 outside this package: the NLP scanner instruments its hot loop with

@@ -334,12 +334,8 @@ class LinkageCache:
 class ExtractionCaches:
     """The shared cache set one extraction engine hands its extractors."""
 
-    def __init__(
-        self,
-        pipeline: Pipeline | None = None,
-        document_maxsize: int = 256,
-    ) -> None:
-        self.documents = DocumentCache(pipeline, maxsize=document_maxsize)
+    def __init__(self, pipeline: Pipeline | None = None) -> None:
+        self.documents = DocumentCache(pipeline)
         self.linkages = LinkageCache()
 
     def clear(self) -> None:

@@ -287,17 +287,14 @@ class CompiledArtifact:
     # ---------------------------------------------------------- build
 
     def make_extractor(
-        self,
-        parse_budget: float | None = None,
-        document_cache_size: int | None = None,
-        models: dict[str, dict] | None = None,
+        self, parse_budget: float | None = None
     ) -> "RecordExtractor":
         """A ready :class:`RecordExtractor` over the compiled tables.
 
         Identical in behaviour to ``RecordExtractor()`` built cold —
         same dictionary contents, same ontology answers, same caches —
-        but without expression expansion or SQLite loading.  *models*
-        (serialized ID3 trees) defaults to the artifact's own.
+        but without expression expansion or SQLite loading.  It
+        attaches the artifact's own models (serialized ID3 trees).
         """
         from repro.extraction.numeric import NumericExtractor
         from repro.extraction.pipeline import RecordExtractor
@@ -305,9 +302,7 @@ class CompiledArtifact:
         from repro.linkgrammar.parser import LinkGrammarParser
         from repro.runtime.cache import ExtractionCaches
 
-        caches = ExtractionCaches(
-            document_maxsize=document_cache_size or 256
-        )
+        caches = ExtractionCaches()
         parser = LinkGrammarParser(
             dictionary=self.grammar.dictionary(),
             time_budget=parse_budget,
@@ -328,7 +323,7 @@ class CompiledArtifact:
             terms=terms,
             caches=caches,
             parse_budget=parse_budget,
-            models=models if models is not None else self.models,
+            models=self.models,
         )
 
     def stats(self) -> dict[str, Any]:

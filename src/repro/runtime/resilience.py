@@ -41,6 +41,7 @@ import base64
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import time
@@ -62,9 +63,7 @@ from repro.runtime.runner import (
     _extract_records,
     _init_worker,
     _reset_caches,
-    _serialize_models,
     bind_store,
-    published,
 )
 from repro.tracing import Span, StageTimer, Tracer
 
@@ -355,7 +354,6 @@ class CorpusRunner:
         resume: bool = False,
         run_id: str = "",
         artifact: "CompiledArtifact | str | Path | None" = None,
-        document_cache_size: int | None = None,
         parse_cache: "PersistentParseCache | None" = None,
         profile_stages: bool = False,
     ) -> None:
@@ -367,36 +365,20 @@ class CorpusRunner:
             raise ValueError(
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
-        if document_cache_size is not None and document_cache_size < 1:
-            raise ValueError(
-                "document_cache_size must be >= 1, got "
-                f"{document_cache_size}"
-            )
         self.metrics = Metrics()
-        #: Compiled warm-start bundle: when set, it both builds the
-        #: default extractor and is shared with pool workers (via
-        #: fork inheritance, with a load-from-path fallback).
-        self.artifact: "CompiledArtifact | None" = None
-        self._artifact_path: str | None = None
-        if artifact is not None:
-            self.artifact, self._artifact_path = self._load_artifact(
-                artifact
-            )
-        self.document_cache_size = document_cache_size
+        #: Compiled warm-start bundle: when set, it builds the default
+        #: extractor.
+        self.artifact: "CompiledArtifact | None" = (
+            self._load_artifact(artifact) if artifact is not None else None
+        )
         if extractor is None:
             if self.artifact is not None:
-                extractor = self.artifact.make_extractor(
-                    document_cache_size=document_cache_size
-                )
+                extractor = self.artifact.make_extractor()
             else:
                 extractor = RecordExtractor()
-        if document_cache_size is not None:
-            caches = getattr(extractor, "caches", None)
-            if caches is not None:
-                caches.documents.resize(document_cache_size)
         #: The extractor's parse store: the caller's when given, else
-        #: the extractor's own.  Published to pool workers
-        #: copy-on-write and fed every worker's delta at reassembly.
+        #: the extractor's own.  Pool workers inherit it through fork
+        #: and it is fed every worker's delta at reassembly.
         #: The caller owns saving it (see cli._cmd_extract).
         self.parse_cache = bind_store(extractor, parse_cache)
         self.extractor = extractor
@@ -437,16 +419,14 @@ class CorpusRunner:
 
     def _load_artifact(
         self, artifact: "CompiledArtifact | str | Path"
-    ) -> tuple["CompiledArtifact", str | None]:
+    ) -> "CompiledArtifact":
         """Resolve the artifact argument, timing any disk load."""
         from repro.runtime.compiled import CompiledArtifact
 
         if isinstance(artifact, CompiledArtifact):
-            return artifact, None
-        path = str(artifact)
+            return artifact
         with self.metrics.time("artifact_load_seconds"):
-            loaded = CompiledArtifact.load(path)
-        return loaded, path
+            return CompiledArtifact.load(artifact)
 
     # ------------------------------------------------------------ API
 
@@ -493,14 +473,12 @@ class CorpusRunner:
         return min(4096, max(256, 8 * share))
 
     def _size_document_cache(self, n_records: int) -> None:
-        """Grow the in-process document cache to fit this run.
+        """Grow the document cache to fit this run.
 
-        Explicit ``document_cache_size`` wins; otherwise the cache
-        grows (never shrinks — shrinking would throw away warm
-        entries) to the computed target.
+        The cache grows (never shrinks — shrinking would throw away
+        warm entries) to the computed target; pool workers inherit
+        the capacity.
         """
-        if self.document_cache_size is not None:
-            return
         caches = getattr(self.extractor, "caches", None)
         if caches is None:
             return
@@ -819,13 +797,14 @@ class CorpusRunner:
 
     # ------------------------------------------------------- parallel
 
-    def _make_pool(
-        self, initargs: tuple, n_tasks: int
-    ) -> ProcessPoolExecutor:
+    def _make_pool(self, n_tasks: int) -> ProcessPoolExecutor:
+        """A pool whose workers fork with the extractor and parse store
+        as they stand (fork passes initargs without pickling them)."""
         return ProcessPoolExecutor(
             max_workers=min(self.workers, max(n_tasks, 1)),
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=initargs,
+            initargs=(self.extractor, self.parse_cache),
         )
 
     def _drain_parallel(
@@ -841,40 +820,22 @@ class CorpusRunner:
         re-parses the same few shapes from scratch (see
         docs/performance.md §6).
         """
-        n_records = sum(len(task.records) for task in tasks)
         if len(tasks) > 1:
             self._drain_serial(deque([tasks.popleft()]), completed, plan)
-        # Fork-started (and rebuilt) pools inherit the artifact and
-        # the primed store copy-on-write.
-        with published(self.artifact, self.parse_cache):
-            self._drain_pool(tasks, completed, plan, n_records)
+        self._drain_pool(tasks, completed, plan)
 
     def _drain_pool(
         self,
         tasks: "deque[_ChunkTask]",
         completed: "dict[int, list[ExtractionResult]]",
         plan: FaultPlan | None,
-        n_records: int,
     ) -> None:
-        initargs = (
-            _serialize_models(self.extractor),
-            getattr(self.extractor, "parse_budget", None),
-            self._artifact_path,
-            # Chunks go to whichever worker is free, so one can run
-            # more than an even share of the pool's records: size its
-            # document cache by its share of the whole run instead.
-            self.document_cache_size
-            or self._target_document_cache_size(n_records),
-            str(self.parse_cache.path)
-            if self.parse_cache.path is not None
-            else None,
-        )
         tracer_class = (
             type(self._recorder) if self._recorder is not None else None
         )
         traces: dict[int, dict[str, Any]] = {}
         rebuilds = 0
-        pool = self._make_pool(initargs, len(tasks))
+        pool = self._make_pool(len(tasks))
         futures: dict[Any, _ChunkTask] = {}
         try:
             while tasks or futures:
@@ -954,7 +915,7 @@ class CorpusRunner:
                     # one: leaving its threads mid-operation can
                     # deadlock children forked from this process.
                     pool.shutdown(wait=True, cancel_futures=True)
-                    pool = self._make_pool(initargs, len(tasks))
+                    pool = self._make_pool(len(tasks))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
         if self._recorder is not None:

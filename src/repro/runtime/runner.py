@@ -2,30 +2,33 @@
 
 :class:`~repro.runtime.resilience.CorpusRunner` runs every corpus.
 With ``workers>1`` it fans chunks of records out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`; this module is what
-those pool workers (and the service's forked shard children) run:
+:class:`~concurrent.futures.ProcessPoolExecutor` started with the
+``fork`` method; this module is what those pool workers (and the
+service's forked shard children) run:
 
-* :func:`published` makes the parent's compiled artifact and parse
-  store visible to children forked inside it, copy-on-write;
-* :func:`_init_worker`, the one pool initializer, builds each
-  worker's extraction stack **once** — dictionary expansion,
-  pipeline, ontology, and the categorical models (shipped as
-  serialized ID3 trees) are per-worker constants, not per-record
-  costs — and marks the process as a disposable worker, so injected
-  ``kill`` faults really end it;
+* :func:`_init_worker`, the one set-up for pool workers and shard
+  children, takes over the parent's extractor and parse store as
+  fork hands them down — the caller's configured extractors, trained
+  models and compiled tables, with nothing rebuilt or pickled — and
+  marks the process as a disposable worker, so injected ``kill``
+  faults really end it;
 * :func:`_extract_chunk`, the one chunk function, fires scheduled
   faults, extracts each record, resets the caches on failure, and
   returns the results with the worker's counter delta (cache hits,
   prune ratio, parse time), its trace delta (stage totals and span
   trees), and the parse outcomes it added, which the parent merges
   into its store.
+
+Fork is the only start method that hands a child these objects, so
+``workers>1`` and ``shards>1`` need a POSIX host; the context is
+named explicitly because ``forkserver`` (the Linux default from
+Python 3.14) inherits nothing.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro import tracing
 from repro.records.model import PatientRecord
@@ -39,136 +42,39 @@ if TYPE_CHECKING:  # real imports are deferred: extraction imports us
         ExtractionResult,
         RecordExtractor,
     )
-    from repro.runtime.compiled import CompiledArtifact
 
-#: Per-process extractor, created by the pool initializer.
+#: The parent's extractor, adopted by :func:`_init_worker`.
 _WORKER_EXTRACTOR: "RecordExtractor | None" = None
 
-#: Compiled artifact published by the parent just before it forks a
-#: pool.  Workers started with the ``fork`` method inherit it
-#: copy-on-write and skip every per-process build cost; under
-#: ``spawn`` it is ``None`` and the initializer falls back to the
-#: artifact path (one pickle load) or a cold build.
-_SHARED_ARTIFACT: "CompiledArtifact | None" = None
-
-#: The parent's parse store, published the same way: fork-started
-#: workers inherit its entries copy-on-write and start with every
-#: sentence shape the parent has seen; their own additions ship home
-#: inside the chunk payloads and are merged at reassembly.
-_SHARED_PARSE_CACHE: "PersistentParseCache | None" = None
-
-#: Wall-clock the pool initializer spent building this worker's
-#: extraction stack, and whether it was reported back yet.  The first
-#: chunk a worker finishes ships the figure home inside its counter
-#: delta, so the parent can aggregate per-worker start-up cost.
+#: Wall-clock :func:`_init_worker` spent in this worker, and whether
+#: it was reported back yet.  The first chunk a worker finishes ships
+#: the figure home inside its counter delta, so the parent can
+#: aggregate per-worker start-up cost.
 _WORKER_INIT_SECONDS: float = 0.0
 _WORKER_INIT_REPORTED: bool = True
 
 
-@contextmanager
-def published(
-    artifact: "CompiledArtifact | None",
-    parse_cache: "PersistentParseCache | None",
-) -> Iterator[None]:
-    """Publish a warm stack to every child forked inside the block.
-
-    *parse_cache* is the owner's parse store, sidecar-backed or not:
-    children parse through it and ship back only what they add.  The
-    previous values come back on exit, so nested or later forks see
-    whatever their own owner published.
-    """
-    global _SHARED_ARTIFACT, _SHARED_PARSE_CACHE
-    previous = _SHARED_ARTIFACT, _SHARED_PARSE_CACHE
-    _SHARED_ARTIFACT, _SHARED_PARSE_CACHE = artifact, parse_cache
-    try:
-        yield
-    finally:
-        _SHARED_ARTIFACT, _SHARED_PARSE_CACHE = previous
-
-
-def _serialize_models(
-    extractor: "RecordExtractor",
-) -> dict[str, dict] | None:
-    """Categorical models as picklable JSON-shaped dicts."""
-    from repro.ml.serialize import tree_to_dict
-
-    models = {
-        name: tree_to_dict(classifier._id3)
-        for name, classifier in extractor.categorical.items()
-        if classifier._id3 is not None
-    }
-    return models or None
-
-
 def _init_worker(
-    models: dict[str, dict] | None,
-    parse_budget: float | None = None,
-    artifact_path: str | None = None,
-    document_cache_size: int | None = None,
-    parse_cache_path: str | None = None,
+    extractor: "RecordExtractor", store: PersistentParseCache
 ) -> None:
-    """Build one extraction stack per worker process.
+    """Adopt the parent's *extractor* and parse *store* in a forked
+    child.
 
-    Warm-start order: the forked-in :data:`_SHARED_ARTIFACT` (free),
-    then *artifact_path* (one pickle load), then a cold build from
-    source — whichever is available first.  A stale or unreadable
-    artifact file degrades to the cold build rather than killing the
-    pool.
+    The caches are emptied as after a failed chunk, so the document
+    cache keeps the capacity the parent sized for the run with room
+    for this worker's share.  The store keeps every parse the parent
+    had; its inherited delta is drained so the first chunk ships only
+    this worker's own additions.
     """
     global _WORKER_EXTRACTOR, _WORKER_INIT_SECONDS
     global _WORKER_INIT_REPORTED
     started = time.perf_counter()
     mark_worker()
-    artifact = _SHARED_ARTIFACT
-    if artifact is None and artifact_path is not None:
-        from repro.errors import ArtifactError
-        from repro.runtime.compiled import CompiledArtifact
-
-        try:
-            artifact = CompiledArtifact.load(artifact_path)
-        except ArtifactError:
-            artifact = None
-    if artifact is not None:
-        extractor = artifact.make_extractor(
-            parse_budget=parse_budget,
-            document_cache_size=document_cache_size,
-            models=models or {},
-        )
-    else:
-        from repro.extraction.pipeline import RecordExtractor
-
-        extractor = RecordExtractor(
-            parse_budget=parse_budget, models=models
-        )
-        if document_cache_size is not None:
-            extractor.caches.documents.resize(document_cache_size)
-    _attach_parse_cache(extractor, parse_cache_path)
+    _reset_caches(extractor)
+    store.drain_delta()
     _WORKER_EXTRACTOR = extractor
     _WORKER_INIT_SECONDS = time.perf_counter() - started
     _WORKER_INIT_REPORTED = False
-
-
-def _attach_parse_cache(
-    extractor: "RecordExtractor", parse_cache_path: str | None
-) -> None:
-    """Give a worker's extractor its parent's parse store.
-
-    Warm-start order mirrors the artifact: the forked-in
-    :data:`_SHARED_PARSE_CACHE` (free, copy-on-write), then the
-    sidecar path (one pickle load under ``spawn``), else the
-    in-memory store the extractor was built with.  The inherited
-    delta is drained so the first chunk ships only this worker's own
-    additions.
-    """
-    store = _SHARED_PARSE_CACHE
-    if store is None and parse_cache_path is not None:
-        store, _ = PersistentParseCache.load_or_create(
-            parse_cache_path,
-            extractor.numeric.parser.dictionary.signature(),
-        )
-    if store is not None:
-        store.drain_delta()
-        bind_store(extractor, store)
 
 
 def bind_store(
@@ -219,7 +125,9 @@ def _extract_records(
 
 
 def _reset_caches(extractor: "RecordExtractor") -> None:
-    """Evict possibly-corrupt cache state after a chunk failure."""
+    """Empty the document cache and the linkage front (the parse store
+    keeps its outcomes): after a chunk failure, which may have left
+    them corrupt, and in a freshly forked worker."""
     caches = getattr(extractor, "caches", None)
     if caches is not None:
         caches.clear()

@@ -17,10 +17,10 @@ and serves extraction requests over a local socket:
   own bounded queue, dispatcher, and warm extraction stack.  With
   ``shards=1`` (the default) extraction runs in-process on the
   service's own runner — the deterministic reference path; with
-  ``shards>1`` each shard is a forked child process running its own
-  runner over the compiled artifact and parse store it inherits
-  (see :mod:`repro.runtime.sharding`).  Both run every batch through
-  one body, :meth:`~repro.runtime.sharding.LocalShard.run_batch`.
+  ``shards>1`` each shard is a child process forked with that runner,
+  so it runs the same extractor over the parse store it inherits (see
+  :mod:`repro.runtime.sharding`).  Both run every batch through one
+  body, :meth:`~repro.runtime.sharding.LocalShard.run_batch`.
 * **Micro-batching** — each shard's dispatcher takes one request and
   then whatever its queue already holds, up to ``max_batch``.
   Requests that arrive while a batch runs coalesce into the next,
@@ -76,13 +76,11 @@ from repro.runtime.resilience import (
     ResilientCorpusRunner,
     RetryPolicy,
 )
-from repro.runtime.runner import _serialize_models, published
 from repro.runtime.sharding import (
     BatchOutcome,
     LocalShard,
     ProcessShard,
     ShardFailure,
-    ShardSpec,
     partition_path,
     shard_for,
 )
@@ -167,8 +165,9 @@ class ServiceConfig:
     #: Deadline applied to requests that do not carry their own.
     default_deadline_s: float | None = None
     #: Shard workers: 1 keeps extraction in-process (the reference
-    #: path); N>1 forks N child processes, each with its own warm
-    #: stack, queue, and result-store partition.
+    #: path); N>1 forks N child processes, each with its copy of the
+    #: service's runner, its own queue and its own result-store
+    #: partition.
     shards: int = 1
     #: When set, shards persist results server-side, to per-shard
     #: partitions merged into this path on drain.
@@ -233,9 +232,10 @@ class ExtractionService:
     """A resident extraction daemon over a local socket.
 
     The extraction stack (optionally warm-started from a compiled
-    artifact) is built once per shard; every dispatched batch reuses
-    it through a :class:`ResilientCorpusRunner`, so quarantine/retry
-    semantics and ``fault_plan`` injection match the batch CLI.
+    artifact) is built once, in the service's runner, and every shard
+    runs it: every dispatched batch goes through a
+    :class:`ResilientCorpusRunner`, so quarantine/retry semantics and
+    ``fault_plan`` injection match the batch CLI.
     """
 
     def __init__(
@@ -258,9 +258,8 @@ class ExtractionService:
                     )
         self.fault_plan = fault_plan
         #: The in-process runner: the ``shards=1`` extraction path.
-        #: For ``shards>1`` it holds the engine, artifact and parse
-        #: store the forked shards inherit; its store collects what
-        #: they add.
+        #: For ``shards>1`` every forked shard child runs its own copy
+        #: of it; its store collects the parses they add.
         self.runner = ResilientCorpusRunner(
             extractor,
             workers=1,
@@ -423,45 +422,19 @@ class ExtractionService:
 
     # ---------------------------------------------------------- shards
 
-    def _shard_spec(self) -> ShardSpec:
-        runner = self.runner
-        # The local shard never rebuilds a stack, so skip model
-        # serialization (stub extractors need not look like the real
-        # pipeline) unless we are about to fork shard children.
-        if self.config.shards > 1:
-            models = _serialize_models(runner.extractor)
-        else:
-            models = None
-        return ShardSpec(
-            models=models,
-            parse_budget=getattr(
-                runner.extractor, "parse_budget", None
-            ),
-            artifact_path=runner._artifact_path,
-            parse_cache_path=(
-                str(runner.parse_cache.path)
-                if runner.parse_cache.path is not None
-                else None
-            ),
-            store_path=self.config.store_path,
-            run_id=self.config.run_id,
-            max_batch=self.config.max_batch,
-            policy=runner.policy,
-        )
-
     def _install_shards(self) -> None:
-        spec = self._shard_spec()
-        self._clear_partitions(spec)
-        if self.config.shards == 1:
-            workers: list[Any] = [LocalShard(0, self.runner, spec)]
-        else:
-            # Publish the warm stack for fork-started shard children
-            # to inherit copy-on-write, exactly like pool workers.
-            with published(self.runner.artifact, self.runner.parse_cache):
-                workers = [
-                    ProcessShard(shard_id, spec)
-                    for shard_id in range(self.config.shards)
-                ]
+        self._clear_partitions()
+        workers: list[Any] = [
+            LocalShard(
+                shard_id,
+                self.runner,
+                self.config.store_path,
+                self.config.run_id,
+            )
+            for shard_id in range(self.config.shards)
+        ]
+        if self.config.shards > 1:
+            workers = [ProcessShard(shard) for shard in workers]
         self._shards = [
             _Shard(
                 shard_id=worker.shard_id,
@@ -475,12 +448,12 @@ class ExtractionService:
             for worker in workers
         ]
 
-    def _clear_partitions(self, spec: ShardSpec) -> None:
+    def _clear_partitions(self) -> None:
         """Remove stale partition files from a previous run."""
-        if spec.store_path is None:
+        if self.config.store_path is None:
             return
         for shard_id in range(self.config.shards):
-            base = partition_path(spec.store_path, shard_id)
+            base = partition_path(self.config.store_path, shard_id)
             for stale in (
                 base,
                 Path(f"{base}-wal"),

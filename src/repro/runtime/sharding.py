@@ -6,21 +6,22 @@ processes its batches strictly serially, so per-shard results are as
 deterministic as the batch CLI.  Every batch runs through one body,
 :meth:`LocalShard.run_batch`: the batch's fault plan and index map go
 onto a :class:`~repro.runtime.resilience.ResilientCorpusRunner`, the
-runner extracts, and the results persist to the shard's partition.
-Two shard types share one calling convention (:meth:`run_batch` /
-:meth:`close`, invoked from a per-shard single-thread executor):
+runner extracts, and the results are journaled to the shard's
+partition.  Two shard types share one calling convention
+(:meth:`run_batch` / :meth:`close`, invoked from a per-shard
+single-thread executor):
 
-* :class:`LocalShard` — the ``shards=1`` path: the batch body runs in
-  the service process on the service's own runner.
-* :class:`ProcessShard` — ``shards>1``: a forked child process builds
-  its own runner (inheriting the parent's published
-  ``CompiledArtifact`` and parse store copy-on-write, with path-load
-  fallbacks under spawn), runs a :class:`LocalShard` over it, and
-  speaks a pickled message protocol over a
-  :class:`multiprocessing.Pipe`; each reply also carries the parse
-  outcomes the child's store gained.  A dead child (kill fault, OOM,
-  SIGKILL) surfaces as :class:`ShardFailure` on the next batch, never
-  as a hang.
+* :class:`LocalShard` — the batch body on the service's runner; the
+  whole ``shards=1`` path, run in the service process.
+* :class:`ProcessShard` — ``shards>1``: wraps a :class:`LocalShard`
+  and forks a child that takes the shard over as it stands — the
+  service's runner, extractor and parse store, set up by the pool
+  workers' :func:`~repro.runtime.runner._init_worker` — and serves
+  its batches over a :class:`multiprocessing.Pipe` with a pickled
+  message protocol; each reply also carries the parse outcomes the
+  child's store gained.  A dead child (kill fault, OOM, SIGKILL)
+  surfaces as :class:`ShardFailure` on the next batch, never as a
+  hang.
 
 Routing is rendezvous (highest-random-weight) hashing on the record
 id: every record id deterministically prefers one shard, and removing
@@ -28,10 +29,10 @@ a dead shard only moves the dead shard's keys — the consistent-hash
 property, without a ring.
 
 Each shard may also own a :class:`~repro.storage.db.ResultStore`
-*partition* (``<db>.shard<K>``).  Partitions additionally journal
-every result/quarantine wire payload keyed by the request's global
-accept sequence, so the service can merge them into one store that is
-byte-identical to a single-process ``repro extract`` run (see
+*partition* (``<db>.shard<K>``) that journals every result/quarantine
+wire payload keyed by the request's global accept sequence, so the
+service can merge them into one store that is byte-identical to a
+single-process ``repro extract`` run (see
 :func:`repro.storage.db.merge_partition_stores`).
 """
 
@@ -55,7 +56,6 @@ if TYPE_CHECKING:
     from repro.runtime.resilience import (
         QuarantineEntry,
         ResilientCorpusRunner,
-        RetryPolicy,
     )
     from repro.storage.db import ResultStore
 
@@ -90,20 +90,6 @@ def partition_path(store_path: str | Path, shard_id: int) -> Path:
     return Path(f"{store_path}.shard{shard_id}")
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """Everything a shard child needs to build its stack and stores."""
-
-    models: dict[str, dict] | None
-    parse_budget: float | None
-    artifact_path: str | None
-    parse_cache_path: str | None
-    store_path: str | None
-    run_id: str
-    max_batch: int
-    policy: "RetryPolicy | None"
-
-
 @dataclass
 class BatchOutcome:
     """What one dispatched batch produced, shard-agnostic."""
@@ -123,16 +109,15 @@ def _persist_batch(
     seqs: Sequence[int],
     run_id: str,
 ) -> None:
-    """Write one batch to the shard's partition, if it has one.
+    """Journal one batch's wire payloads to the shard's partition, if
+    it has one, keyed by accept sequence.
 
-    Partitions also journal the wire payloads keyed by accept
-    sequence — the raw material for the byte-identical merge.
+    The payloads are all the byte-identical merge reads; it writes
+    the result and quarantine tables, stamping quarantine rows with
+    the service's run id, so *run_id* goes unused here.
     """
     if store is None:
         return
-    store.store_many(outcome.results)
-    if outcome.quarantine:
-        store.save_quarantine(list(outcome.quarantine), run_id=run_id)
     quarantined_seqs = {
         entry.record_index for entry in outcome.quarantine
     }
@@ -156,38 +141,29 @@ def _persist_batch(
     store.save_shard_payloads(payloads)
 
 
-def _open_shard_store(
-    spec: ShardSpec, shard_id: int
-) -> "ResultStore | None":
-    from repro.storage.db import ResultStore
-
-    if spec.store_path is None:
-        return None
-    return ResultStore(partition_path(spec.store_path, shard_id))
-
-
 # ------------------------------------------------------------- local
 
 class LocalShard:
-    """The batch body on a runner in this process: the service's own
-    runner for ``shards=1``, a shard child's own runner otherwise."""
+    """The batch body on the runner of the process it runs in: the
+    service's, or a forked shard child's copy of it."""
 
     def __init__(
         self,
         shard_id: int,
         runner: "ResilientCorpusRunner",
-        spec: ShardSpec,
+        store_path: str | None,
+        run_id: str,
     ) -> None:
         self.shard_id = shard_id
         self.runner = runner
-        self.spec = spec
+        self.store_path = store_path
+        self.run_id = run_id
         self.dead = False
         self.batches = 0
         # Opened lazily on the first batch so the SQLite connection
-        # is born on the shard's executor thread (where all batch
-        # and close calls run), not the event-loop thread.
+        # is born on the shard's executor thread (or in the shard
+        # child), where all batch and close calls run.
         self._store: "ResultStore | None" = None
-        self._store_opened = False
 
     def run_batch(
         self,
@@ -195,9 +171,12 @@ class LocalShard:
         plan: "FaultPlan | None",
         seqs: Sequence[int],
     ) -> BatchOutcome:
-        if not self._store_opened:
-            self._store = _open_shard_store(self.spec, self.shard_id)
-            self._store_opened = True
+        if self._store is None and self.store_path is not None:
+            from repro.storage.db import ResultStore
+
+            self._store = ResultStore(
+                partition_path(self.store_path, self.shard_id)
+            )
         self.batches += 1
         self.runner.fault_plan = plan
         self.runner.index_map = list(seqs)
@@ -206,7 +185,7 @@ class LocalShard:
             results=results,
             quarantine=list(self.runner.quarantine),
         )
-        _persist_batch(self._store, outcome, seqs, self.spec.run_id)
+        _persist_batch(self._store, outcome, seqs, self.run_id)
         return outcome
 
     def close(self) -> dict[str, Any]:
@@ -222,38 +201,22 @@ class LocalShard:
 
 # ----------------------------------------------------------- process
 
-def _shard_child(
-    conn: "Connection", shard_id: int, spec: ShardSpec
-) -> None:
-    """Shard child main loop: build the stack once, serve batches.
+def _shard_child(conn: "Connection", shard: LocalShard) -> None:
+    """Shard child main loop: adopt the inherited shard, serve batches.
 
-    Each batch runs through a :class:`LocalShard` over the child's own
-    runner; the outcome ships home with the parse outcomes the batch
-    added to the child's store.  The pool initializer marks the child
-    with :func:`repro.runtime.faults.mark_worker`, so injected
-    ``kill`` faults hard-exit the child — a deterministic stand-in
-    for a crashed shard that the parent observes as EOF on the pipe.
+    The child sets up its copy of the service's extractor and parse
+    store as a pool worker does, so injected ``kill`` faults hard-exit
+    it — a deterministic stand-in for a crashed shard that the parent
+    observes as EOF on the pipe.  Each batch runs through the shard's
+    :meth:`LocalShard.run_batch`; the outcome ships home with the
+    parse outcomes the batch added to the child's store.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from repro.runtime import runner as runner_mod
     from repro.runtime.faults import InjectedInterrupt
-    from repro.runtime.resilience import ResilientCorpusRunner
+    from repro.runtime.runner import _init_worker
 
-    runner_mod._init_worker(
-        spec.models,
-        spec.parse_budget,
-        spec.artifact_path,
-        None,
-        spec.parse_cache_path,
-    )
-    assert runner_mod._WORKER_EXTRACTOR is not None
-    runner = ResilientCorpusRunner(
-        runner_mod._WORKER_EXTRACTOR,
-        workers=1,
-        chunk_size=spec.max_batch,
-        policy=spec.policy,
-    )
-    shard = LocalShard(shard_id, runner, spec)
+    runner = shard.runner
+    _init_worker(runner.extractor, runner.parse_cache)
     while True:
         try:
             message = conn.recv()
@@ -279,26 +242,22 @@ def _shard_child(
 class ProcessShard:
     """One forked shard worker driven over a pipe.
 
+    The child inherits *shard* through fork, with nothing pickled.
     All calls happen on the service's per-shard executor thread, so
     pipe access is serialized.  A broken pipe marks the shard dead
     and raises :class:`ShardFailure`; the service answers the batch
     with typed errors and routes subsequent records elsewhere.
     """
 
-    def __init__(self, shard_id: int, spec: ShardSpec) -> None:
-        self.shard_id = shard_id
-        self.spec = spec
+    def __init__(self, shard: LocalShard) -> None:
+        self.shard_id = shard.shard_id
         self.dead = False
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
+        context = multiprocessing.get_context("fork")
         self._conn, child_conn = context.Pipe()
         self.process = context.Process(
             target=_shard_child,
-            args=(child_conn, shard_id, spec),
-            name=f"repro-shard-{shard_id}",
+            args=(child_conn, shard),
+            name=f"repro-shard-{shard.shard_id}",
             daemon=True,
         )
         self.process.start()
@@ -353,7 +312,6 @@ __all__ = [
     "LocalShard",
     "ProcessShard",
     "ShardFailure",
-    "ShardSpec",
     "partition_path",
     "shard_for",
 ]

@@ -1,7 +1,7 @@
 """ID3 models attached to an engine run on the engine's own stack.
 
-Training, ``load_models``, ``CompiledArtifact.make_extractor(models=)``
-and a worker's cold build all attach classifiers through
+Training, ``load_models`` and ``CompiledArtifact.make_extractor`` (the
+artifact's own models) all attach classifiers through
 :meth:`RecordExtractor.attach_model`.  The contract under test: every
 classifier reads sections through the engine's document cache and
 parses over the engine's dictionary, so a loaded-model engine scans

@@ -422,12 +422,6 @@ class TestExtractionParity:
 
 
 class TestDocumentCacheSizing:
-    def test_explicit_size_wins(self, artifact):
-        runner = CorpusRunner(
-            artifact=artifact, document_cache_size=512
-        )
-        assert runner.extractor.caches.documents.maxsize == 512
-
     def test_auto_size_grows_with_corpus_and_never_shrinks(
         self, cohort
     ):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.extraction import RecordExtractor
-from repro.runtime import CorpusRunner
+from repro.extraction.numeric import NumericExtractor
+from repro.extraction.terms import TermExtractor
+from repro.runtime import CorpusRunner, ExtractionCaches
 from repro.synth import CohortSpec, RecordGenerator
 
 
@@ -100,6 +102,32 @@ class TestParallel:
             for result in parallel
             for v in result.categorical.values()
         )
+
+    def test_configured_extractors_reach_workers(
+        self, cohort, serial_results
+    ):
+        # Workers run the caller's extractor as fork hands it over,
+        # not a default stack rebuilt from the compiled tables.
+        records, _ = cohort
+        caches = ExtractionCaches()
+        extractor = RecordExtractor(
+            numeric=NumericExtractor(
+                use_linkage=False,
+                use_alignment=False,
+                document_cache=caches.documents,
+                linkage_cache=caches.linkages,
+            ),
+            terms=TermExtractor(
+                use_synonyms=False, document_cache=caches.documents
+            ),
+            caches=caches,
+        )
+        serial = CorpusRunner(extractor).run(records)
+        assert serial != serial_results
+        parallel = CorpusRunner(
+            extractor, workers=2, chunk_size=2
+        ).run(records)
+        assert parallel == serial
 
     def test_production_runner_primes_before_fan_out(self, cohort):
         # The first chunk runs in the parent and the pool forks with

@@ -1,11 +1,12 @@
 """Sharding unit and fault-matrix tests.
 
-Routing properties are pure-function tests; the shard-death matrix
-spins up a real sharded service (forked shard children need a
-picklable extraction stack, so these use :class:`RecordExtractor`)
-and kills one worker mid-stream with an injected ``kill`` fault:
-the batch must come back as typed ``shard-failed`` errors — never a
-hang — the router must stop picking the dead shard, and the drain
+Routing properties are pure-function tests.  The sharded tests spin
+up a real service whose forked shard children take over the
+service's extractor as it stands: a configured extractor must answer
+through two shards as it does through one, and the shard-death
+matrix kills one worker mid-stream with an injected ``kill`` fault —
+the batch must come back as typed ``shard-failed`` errors, never a
+hang, the router must stop picking the dead shard, and the drain
 must still exit cleanly.
 """
 
@@ -13,7 +14,9 @@ import pytest
 
 from repro.client import ServiceClient
 from repro.extraction import RecordExtractor
-from repro.runtime import FaultPlan, RetryPolicy
+from repro.extraction.numeric import NumericExtractor
+from repro.extraction.terms import TermExtractor
+from repro.runtime import ExtractionCaches, FaultPlan, RetryPolicy
 from repro.runtime.service import ExtractionService, ServiceConfig
 from repro.runtime.sharding import partition_path, shard_for
 from repro.synth import CohortSpec, RecordGenerator
@@ -69,6 +72,46 @@ def cohort():
         CohortSpec(size=6, smoking_counts={"never": 5, None: 1})
     )
     return records
+
+
+class TestShardParity:
+    def test_configured_extractor_answers_as_one_shard(
+        self, cohort, tmp_path
+    ):
+        """Shard children serve the service's own extractor, not a
+        default stack rebuilt from the compiled tables."""
+        caches = ExtractionCaches()
+        extractor = RecordExtractor(
+            numeric=NumericExtractor(
+                use_linkage=False,
+                use_alignment=False,
+                document_cache=caches.documents,
+                linkage_cache=caches.linkages,
+            ),
+            terms=TermExtractor(
+                use_synonyms=False, document_cache=caches.documents
+            ),
+            caches=caches,
+        )
+        answers = {}
+        for shards in (1, 2):
+            socket_path = str(tmp_path / f"svc{shards}.sock")
+            service = ExtractionService(
+                extractor,
+                config=ServiceConfig(
+                    socket_path=socket_path, shards=shards
+                ),
+                policy=FAST_POLICY,
+            )
+            service.start()
+            try:
+                with ServiceClient(socket_path=socket_path) as client:
+                    answers[shards] = client.extract_many(cohort)
+            finally:
+                service.stop(timeout=30)
+        results, quarantined = answers[2]
+        assert quarantined == [] and len(results) == len(cohort)
+        assert results == answers[1][0]
 
 
 class TestShardDeath:

@@ -279,18 +279,21 @@ def test_corpus_engine_speedup(benchmark, tmp_path):
     # Acceptance bars, everywhere: the engine must beat the seed
     # path, warm start-up must beat cold start-up, the cross-record
     # cache must be earning its keep, and the document cache must
-    # have stopped thrashing (it is sized to the corpus now).
+    # not thrash: its main LRU has a fixed size and admits a section
+    # only on its second miss, so sections one record reads never
+    # push out the ones records share (a plain 512-entry LRU evicted
+    # 461 of 973 misses on this cohort).
     assert parallel_rate >= 2.0 * seed_rate
     assert serial_rate >= 2.0 * seed_rate
     assert lanes["warm_init_seconds"] < lanes["cold_init_seconds"]
     assert serial_warm["linkage_cache_hit_rate"] > 0.0
     documents = serial_warm["engine"]["documents"]
     assert documents["evictions"] <= documents["misses"] * 0.05
-    # Regression gate: the parallel lanes used to size each worker's
-    # document cache from the chunk size (8 * chunk), thrashing once
-    # a worker had chewed through a few chunks (126 evictions per 986
-    # misses on this cohort).  Sizing by per-worker record share must
-    # keep the parallel lanes as eviction-free as the serial one.
+    # Regression gate: each pool worker forks with its caches cleared
+    # and admits by its own reads, within the same fixed bound; that
+    # must keep the parallel lanes as eviction-free as the serial one
+    # (a cache sized by the chunk once evicted 126 per 986 misses on
+    # this cohort).
     for lane in (parallel_cold, parallel_warm):
         lane_documents = lane["engine"]["documents"]
         assert (

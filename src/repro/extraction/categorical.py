@@ -103,7 +103,9 @@ class SentenceFeatureExtractor:
         linkage_cache: LinkageCache | None = None,
     ) -> None:
         self.options = options or FeatureOptions()
-        self.document_cache = document_cache or DocumentCache(pipeline)
+        if document_cache is None:
+            document_cache = DocumentCache(pipeline)
+        self.document_cache = document_cache
         self.parser = parser or LinkGrammarParser(max_linkages=1)
         self.lemmatizer = lemmatizer or Lemmatizer()
         self.linkage_cache = (

@@ -26,13 +26,9 @@ if TYPE_CHECKING:  # compiled imports dictionary; only types flow back
 
 LEFT_WALL = "###LEFT-WALL###"
 
-#: (match table, matchers-for-left, matchers-for-right) — see
+#: ``(plus label, minus label) → can link`` — see
 #: :meth:`Dictionary.match_tables`.
-MatchTables = tuple[
-    dict[tuple[str, str], bool],
-    dict[str, set[str]],
-    dict[str, set[str]],
-]
+MatchTables = dict[tuple[str, str], bool]
 
 #: (plus_rows, minus_rows, plus_ids, minus_ids) — see
 #: :meth:`Dictionary.bitset_tables`.
@@ -156,7 +152,7 @@ class Dictionary:
         )
 
     def match_tables(self) -> MatchTables:
-        """Dictionary-wide connector match table plus matcher sets.
+        """Dictionary-wide connector match table.
 
         The parser's recurrence and its pruning pass test (right-label,
         left-label) pairs millions of times.  All connectors any
@@ -164,13 +160,8 @@ class Dictionary:
         over the dictionary's distinct labels (a few hundred entries)
         serves every sentence — computed once, cached, shipped inside
         compiled grammars, and invalidated by :meth:`add`.  The parser
-        reads it through :meth:`bitset_tables`.
-
-        Returns ``(table, matchers_for_left, matchers_for_right)``:
-        ``table[(plus, minus)]`` says whether the labels can link;
-        ``matchers_for_left[minus]`` is the set of right-pointing
-        labels that can reach ``minus`` (and vice versa).  Compiled
-        artifacts pickle all three fields.
+        reads it through :meth:`bitset_tables`.  Maps each ``(plus,
+        minus)`` label pair to whether the two labels can link.
         """
         cached = self._match_tables
         if cached is None:
@@ -194,7 +185,7 @@ class Dictionary:
         """
         cached = self._bitset_tables
         if cached is None:
-            cached = bitsets_from_table(self.match_tables()[0])
+            cached = bitsets_from_table(self.match_tables())
             self._bitset_tables = cached
         return cached
 
@@ -329,18 +320,11 @@ def _build_match_tables(
                 plus.setdefault(connector.label, connector)
             for connector in disjunct.left:
                 minus.setdefault(connector.label, connector)
-    table = {
+    return {
         (pl, ml): connectors_match(pc, mc)
         for pl, pc in plus.items()
         for ml, mc in minus.items()
     }
-    matchers_for_left: dict[str, set[str]] = {}
-    matchers_for_right: dict[str, set[str]] = {}
-    for (pl, ml), ok in table.items():
-        if ok:
-            matchers_for_left.setdefault(ml, set()).add(pl)
-            matchers_for_right.setdefault(pl, set()).add(ml)
-    return table, matchers_for_left, matchers_for_right
 
 
 def bitsets_from_table(

@@ -244,7 +244,7 @@ class Document:
         any other pipeline they are built on the first call, in one
         pointer walk over the (sorted) token and number lists.  Either
         way they are cached on the document, which itself lives in the
-        LRU document cache.
+        document cache.
 
         Views snapshot the Token, Sentence and Number annotations when
         they are built — call this only after the pipeline has run.

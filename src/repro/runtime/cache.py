@@ -30,7 +30,7 @@ it holds parses for, which includes a dictionary changed by
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable, Sequence, Sized
 
 from repro import tracing
 from repro.errors import ParseFailure, ParseTimeout
@@ -51,10 +51,10 @@ from repro.runtime.parsecache import (
 _MISSING = object()
 
 
-class LRUCache:
-    """A bounded mapping with move-to-front reads and counters."""
+class _Counted(Sized):
+    """Additive hit/miss/eviction counters and the stats built on them."""
 
-    def __init__(self, maxsize: int = 1024, name: str = "cache") -> None:
+    def __init__(self, maxsize: int, name: str) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
@@ -62,6 +62,35 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+
+    def counters(self) -> dict[str, int]:
+        """Additive counters (safe to merge across processes)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def stats(self) -> dict[str, Any]:
+        """Human-facing snapshot (includes derived, non-additive fields)."""
+        return {
+            "name": self.name,
+            "size": len(self),
+            "maxsize": self.maxsize,
+            "hit_rate": round(self.hit_rate(), 4),
+            **self.counters(),
+        }
+
+
+class LRUCache(_Counted):
+    """A bounded mapping with move-to-front reads and counters."""
+
+    def __init__(self, maxsize: int = 1024, name: str = "cache") -> None:
+        super().__init__(maxsize, name)
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
 
     def __len__(self) -> int:
@@ -87,84 +116,75 @@ class LRUCache:
             self._data.popitem(last=False)
             self.evictions += 1
 
-    def resize(self, maxsize: int) -> None:
-        """Change the capacity, evicting LRU entries if shrinking."""
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
     def clear(self) -> None:
         self._data.clear()
 
-    # ------------------------------------------------------------ stats
 
-    def counters(self) -> dict[str, int]:
-        """Additive counters (safe to merge across processes)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, Any]:
-        """Human-facing snapshot (includes derived, non-additive fields)."""
-        return {
-            "name": self.name,
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-            "hit_rate": round(self.hit_rate(), 4),
-            **self.counters(),
-        }
+#: Documents the front of a :class:`DocumentCache` holds: the few
+#: sections the record in hand reads, each several times.
+DOCUMENT_FRONT_SIZE = 32
 
 
-class DocumentCache:
+class DocumentCache(_Counted):
     """Shared ``section text → Document`` cache over one pipeline.
 
-    Documents are annotated once and then only read; every consumer
-    (numeric, term, categorical extraction) must treat them as frozen.
+    A fixed-size 2Q cache (Johnson & Shasha, VLDB 1994): a text's
+    first scan goes to a FIFO *front* that serves the record in hand,
+    and its key to a *ghost* FIFO of the last ``4 × maxsize`` first
+    misses; a text that misses again while the ghost holds its key is
+    admitted into the *main* LRU of ``maxsize`` documents.  ``hits``
+    counts reads either tier served, ``misses`` counts scans, and
+    ``evictions`` counts documents pushed out of main.  Documents are
+    only read once annotated; every consumer must treat them as frozen.
     """
 
     def __init__(
         self,
         pipeline: Pipeline | None = None,
-        maxsize: int = 256,
+        maxsize: int = 512,
     ) -> None:
+        super().__init__(maxsize, "documents")
         self.pipeline = pipeline or default_pipeline()
-        self._lru = LRUCache(maxsize, name="documents")
+        self._front: OrderedDict[str, Document] = OrderedDict()
+        self._ghost: OrderedDict[str, None] = OrderedDict()
+        self._main: OrderedDict[str, Document] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._front) + len(self._main)
 
     def get(self, text: str) -> Document:
-        document = self._lru.get(text)
+        document = self._front.get(text)
         if document is None:
-            document = self.pipeline.process_text(text)
-            self._lru.put(text, document)
+            document = self._main.get(text)
+            if document is None:
+                return self._scan(text)
+            self._main.move_to_end(text)
+        self.hits += 1
         return document
 
-    @property
-    def maxsize(self) -> int:
-        return self._lru.maxsize
-
-    def resize(self, maxsize: int) -> None:
-        """Change capacity (the corpus runner sizes it to its chunks)."""
-        self._lru.resize(maxsize)
+    def _scan(self, text: str) -> Document:
+        """Scan a text neither tier holds; file it by its history."""
+        self.misses += 1
+        document = self.pipeline.process_text(text)
+        if text in self._ghost:
+            del self._ghost[text]
+            self._main[text] = document
+            if len(self._main) > self.maxsize:
+                self._main.popitem(last=False)
+                self.evictions += 1
+            return document
+        self._front[text] = document
+        if len(self._front) > DOCUMENT_FRONT_SIZE:
+            self._front.popitem(last=False)
+        self._ghost[text] = None
+        if len(self._ghost) > 4 * self.maxsize:
+            self._ghost.popitem(last=False)
+        return document
 
     def clear(self) -> None:
-        self._lru.clear()
-
-    def counters(self) -> dict[str, int]:
-        return self._lru.counters()
-
-    def hit_rate(self) -> float:
-        return self._lru.hit_rate()
-
-    def stats(self) -> dict[str, Any]:
-        return self._lru.stats()
+        self._front.clear()
+        self._ghost.clear()
+        self._main.clear()
 
 
 #: Entries the in-memory front of a :class:`LinkageCache` holds.  A

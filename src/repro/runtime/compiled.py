@@ -48,8 +48,9 @@ if TYPE_CHECKING:
 #: :class:`CompiledOntology`, or :class:`CompiledArtifact` changes in
 #: a way old readers cannot handle.  Part of the fingerprint, so a
 #: version bump also invalidates every cached artifact.
-#: Version 2 added the term automaton and numeric regex index sections.
-ARTIFACT_VERSION = 2
+#: Version 2 added the term automaton and numeric regex index sections;
+#: version 3 pickles the grammar's match table without matcher sets.
+ARTIFACT_VERSION = 3
 
 
 def source_fingerprint() -> str:

@@ -323,17 +323,20 @@ class FaultPlan:
 def _corrupt_caches(extractor: "RecordExtractor") -> None:
     """Overwrite every cached entry with garbage, in place.
 
-    The poisoned values crash any consumer that touches them (tuple
-    unpacking for linkages, attribute access for documents), so a
-    retry on the same worker only succeeds if the resilience layer
+    Both document tiers (the front and main) and the linkage front are
+    poisoned.  The poisoned values crash any consumer that touches them
+    (tuple unpacking for linkages, attribute access for documents), so
+    a retry on the same worker only succeeds if the resilience layer
     reset the caches first.
     """
     caches = getattr(extractor, "caches", None)
     if caches is None:
         return
-    for holder in (caches.documents, caches.linkages):
-        lru = getattr(holder, "_lru", None)
-        if lru is None:
-            continue
-        for key in list(lru._data):
-            lru._data[key] = ("__corrupted-cache-entry__",)
+    documents = caches.documents
+    for table in (
+        documents._front,
+        documents._main,
+        caches.linkages._lru._data,
+    ):
+        for key in list(table):
+            table[key] = ("__corrupted-cache-entry__",)

@@ -439,7 +439,6 @@ class CorpusRunner:
         order; quarantined records are listed in :attr:`quarantine`.
         """
         records = list(records)
-        self._size_document_cache(len(records))
         if self.index_map is not None and (
             self.workers != 1 or self.journal is not None
         ):
@@ -456,35 +455,6 @@ class CorpusRunner:
             results = self._run_resilient(records, plan)
         self.metrics.count("records", len(records))
         return results
-
-    def _target_document_cache_size(self, n_records: int) -> int:
-        """Capacity that covers one worker's share of the corpus.
-
-        Every record touches a handful of distinct section texts, so a
-        cache smaller than ~8× the run of records it serves thrashes
-        (all evictions, no cross-record reuse).  Sized by the
-        **per-worker record share**, not the scheduling unit: one
-        worker processes many chunks through the same cache, so sizing
-        by the chunk alone thrashed the parallel lane (the default
-        unit is a quarter of the share).  Bounded so a huge corpus
-        cannot pin unbounded document memory.
-        """
-        share = max(1, math.ceil(n_records / self.workers))
-        return min(4096, max(256, 8 * share))
-
-    def _size_document_cache(self, n_records: int) -> None:
-        """Grow the document cache to fit this run.
-
-        The cache grows (never shrinks — shrinking would throw away
-        warm entries) to the computed target; pool workers inherit
-        the capacity.
-        """
-        caches = getattr(self.extractor, "caches", None)
-        if caches is None:
-            return
-        target = self._target_document_cache_size(n_records)
-        if target > caches.documents.maxsize:
-            caches.documents.resize(target)
 
     def throughput(self) -> float:
         """Records per second across every ``run`` so far."""

@@ -60,11 +60,11 @@ def _init_worker(
     """Adopt the parent's *extractor* and parse *store* in a forked
     child.
 
-    The caches are emptied as after a failed chunk, so the document
-    cache keeps the capacity the parent sized for the run with room
-    for this worker's share.  The store keeps every parse the parent
-    had; its inherited delta is drained so the first chunk ships only
-    this worker's own additions.
+    The caches are emptied as after a failed chunk, so the worker
+    admits documents by its own reads, within the same fixed bound as
+    the parent.  The store keeps every parse the parent had; its
+    inherited delta is drained so the first chunk ships only this
+    worker's own additions.
     """
     global _WORKER_EXTRACTOR, _WORKER_INIT_SECONDS
     global _WORKER_INIT_REPORTED
@@ -125,9 +125,10 @@ def _extract_records(
 
 
 def _reset_caches(extractor: "RecordExtractor") -> None:
-    """Empty the document cache and the linkage front (the parse store
-    keeps its outcomes): after a chunk failure, which may have left
-    them corrupt, and in a freshly forked worker."""
+    """Empty the document cache (both tiers and its ghost) and the
+    linkage front (the parse store keeps its outcomes): after a chunk
+    failure, which may have left them corrupt, and in a freshly
+    forked worker."""
     caches = getattr(extractor, "caches", None)
     if caches is not None:
         caches.clear()

@@ -28,8 +28,8 @@ id: every record id deterministically prefers one shard, and removing
 a dead shard only moves the dead shard's keys — the consistent-hash
 property, without a ring.
 
-Each shard may also own a :class:`~repro.storage.db.ResultStore`
-*partition* (``<db>.shard<K>``) that journals every result/quarantine
+Each shard may also own a *partition* (``<db>.shard<K>``), a
+:class:`~repro.storage.db.PayloadJournal` of every result/quarantine
 wire payload keyed by the request's global accept sequence, so the
 service can merge them into one store that is byte-identical to a
 single-process ``repro extract`` run (see
@@ -57,7 +57,7 @@ if TYPE_CHECKING:
         QuarantineEntry,
         ResilientCorpusRunner,
     )
-    from repro.storage.db import ResultStore
+    from repro.storage.db import PayloadJournal
 
 
 class ShardFailure(Exception):
@@ -86,7 +86,7 @@ def shard_for(record_id: str, live: Sequence[int]) -> int:
 
 
 def partition_path(store_path: str | Path, shard_id: int) -> Path:
-    """Result-store partition owned by one shard."""
+    """Payload-journal partition owned by one shard."""
     return Path(f"{store_path}.shard{shard_id}")
 
 
@@ -104,7 +104,7 @@ class BatchOutcome:
 
 
 def _persist_batch(
-    store: "ResultStore | None",
+    store: "PayloadJournal | None",
     outcome: BatchOutcome,
     seqs: Sequence[int],
     run_id: str,
@@ -112,9 +112,9 @@ def _persist_batch(
     """Journal one batch's wire payloads to the shard's partition, if
     it has one, keyed by accept sequence.
 
-    The payloads are all the byte-identical merge reads; it writes
-    the result and quarantine tables, stamping quarantine rows with
-    the service's run id, so *run_id* goes unused here.
+    The payloads are all the byte-identical merge reads.  The merge
+    stamps quarantine rows with the service's run id, so *run_id* goes
+    unused here.
     """
     if store is None:
         return
@@ -163,7 +163,7 @@ class LocalShard:
         # Opened lazily on the first batch so the SQLite connection
         # is born on the shard's executor thread (or in the shard
         # child), where all batch and close calls run.
-        self._store: "ResultStore | None" = None
+        self._store: "PayloadJournal | None" = None
 
     def run_batch(
         self,
@@ -172,9 +172,9 @@ class LocalShard:
         seqs: Sequence[int],
     ) -> BatchOutcome:
         if self._store is None and self.store_path is not None:
-            from repro.storage.db import ResultStore
+            from repro.storage.db import PayloadJournal
 
-            self._store = ResultStore(
+            self._store = PayloadJournal(
                 partition_path(self.store_path, self.shard_id)
             )
         self.batches += 1

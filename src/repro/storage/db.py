@@ -79,10 +79,10 @@ QUARANTINE_COLUMNS: tuple[tuple[str, str], ...] = (
 )
 
 
-class ResultStore:
-    """SQLite sink and query surface for extraction results."""
+class _Database:
+    """One SQLite file in WAL mode, checkpointed on close."""
 
-    def __init__(self, path: str | Path = ":memory:") -> None:
+    def __init__(self, path: str | Path) -> None:
         self._connection = sqlite3.connect(str(path))
         # Write-ahead logging turns every commit into one sequential
         # log append instead of a full database rewrite, and NORMAL
@@ -92,7 +92,6 @@ class ResultStore:
         # In-memory databases ignore the journal-mode request.
         self._connection.execute("PRAGMA journal_mode=WAL")
         self._connection.execute("PRAGMA synchronous=NORMAL")
-        self._connection.executescript(_SCHEMA)
 
     def close(self) -> None:
         """Checkpoint the WAL into the main file and close.
@@ -109,6 +108,52 @@ class ResultStore:
         except sqlite3.ProgrammingError:
             return  # already closed
         self._connection.close()
+
+
+class PayloadJournal(_Database):
+    """A shard partition: wire payloads by global accept sequence.
+
+    Its one table, ``shard_payloads``, is the raw material
+    :func:`merge_partition_stores` reads to rebuild the corpus in
+    accept order; it never appears in a merged or batch-written
+    store.  Rows are ``(seq, kind, payload)`` with kind ``result`` or
+    ``quarantine`` and payload the bit-exact JSON wire form.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        super().__init__(path)
+        self._connection.execute(
+            "CREATE TABLE IF NOT EXISTS shard_payloads ("
+            "seq INTEGER PRIMARY KEY, kind TEXT NOT NULL, "
+            "payload TEXT NOT NULL)"
+        )
+
+    def save_shard_payloads(
+        self, rows: list[tuple[int, str, str]]
+    ) -> int:
+        """Journal ``(seq, kind, payload)`` rows in one transaction."""
+        with self._connection:
+            self._connection.executemany(
+                "INSERT OR REPLACE INTO shard_payloads VALUES "
+                "(?, ?, ?)",
+                rows,
+            )
+        return len(rows)
+
+    def shard_payloads(self) -> list[tuple[int, str, str]]:
+        """Journaled (seq, kind, payload) rows, in accept order."""
+        cursor = self._connection.execute(
+            "SELECT seq, kind, payload FROM shard_payloads ORDER BY seq"
+        )
+        return [tuple(row) for row in cursor]
+
+
+class ResultStore(_Database):
+    """SQLite sink and query surface for extraction results."""
+
+    def __init__(self, path: str | Path = ":memory:") -> None:
+        super().__init__(path)
+        self._connection.executescript(_SCHEMA)
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -247,42 +292,6 @@ class ResultStore:
                 rows,
             )
         return len(rows)
-
-    def save_shard_payloads(
-        self, rows: list[tuple[int, str, str]]
-    ) -> int:
-        """Journal wire payloads by global accept sequence.
-
-        Only shard *partitions* carry this side table; it is the raw
-        material :func:`merge_partition_stores` reads to rebuild the
-        corpus in accept order, and it never appears in a merged or
-        batch-written store.  Rows are ``(seq, kind, payload)`` with
-        kind ``result`` or ``quarantine`` and payload the bit-exact
-        JSON wire form.
-        """
-        self._connection.execute(
-            "CREATE TABLE IF NOT EXISTS shard_payloads ("
-            "seq INTEGER PRIMARY KEY, kind TEXT NOT NULL, "
-            "payload TEXT NOT NULL)"
-        )
-        with self._connection:
-            self._connection.executemany(
-                "INSERT OR REPLACE INTO shard_payloads VALUES "
-                "(?, ?, ?)",
-                rows,
-            )
-        return len(rows)
-
-    def shard_payloads(self) -> list[tuple[int, str, str]]:
-        """Journaled (seq, kind, payload) rows, in accept order."""
-        try:
-            cursor = self._connection.execute(
-                "SELECT seq, kind, payload FROM shard_payloads "
-                "ORDER BY seq"
-            )
-        except sqlite3.OperationalError:
-            return []  # not a partition: no payload journal
-        return [tuple(row) for row in cursor]
 
     # ------------------------------------------------------------- read
 
@@ -603,7 +612,7 @@ def merge_partition_stores(
     for path in partition_paths:
         if not Path(path).exists():
             continue
-        partition = ResultStore(path)
+        partition = PayloadJournal(path)
         try:
             merged.extend(partition.shard_payloads())
         finally:

@@ -244,7 +244,7 @@ class TestBitsetParity:
         )
         # Every label pair of the dictionary's match table (625).
         assert {(p.label, m.label) for p in plus for m in minus} == set(
-            dictionary.match_tables()[0]
+            dictionary.match_tables()
         )
         assert [
             (p.label, m.label)

@@ -5,6 +5,7 @@ import pytest
 from repro.linkgrammar import LinkGrammarParser
 from repro.linkgrammar.dictionary import Dictionary
 from repro.runtime.cache import (
+    DOCUMENT_FRONT_SIZE,
     DocumentCache,
     ExtractionCaches,
     LinkageCache,
@@ -67,6 +68,54 @@ class TestDocumentCache:
         document = DocumentCache(maxsize=4).get("Pulse of 84.")
         assert document.sentences()
         assert document.numbers()
+
+    @staticmethod
+    def _others(cache, count, prefix="other"):
+        for i in range(count):
+            cache.get(f"{prefix} {i}.")
+
+    def test_reads_within_one_record_stay_in_the_front(self):
+        cache = DocumentCache()
+        for _ in range(8):
+            cache.get("Pulse of 84.")
+        assert cache.counters() == {
+            "hits": 7, "misses": 1, "evictions": 0,
+        }
+        assert "Pulse of 84." not in cache._main
+        self._others(cache, 40)
+        assert "Pulse of 84." not in cache._main
+
+    def test_second_miss_is_admitted_then_hits(self):
+        cache = DocumentCache()
+        cache.get("Pulse of 84.")
+        self._others(cache, 40)  # pushes it out of the 32-entry front
+        assert "Pulse of 84." not in cache._front
+        admitted = cache.get("Pulse of 84.")
+        assert cache.misses == 42
+        assert cache._main == {"Pulse of 84.": admitted}
+        self._others(cache, 40, prefix="fresh")
+        assert cache.get("Pulse of 84.") is admitted
+        assert cache.misses == 82
+
+    def test_one_read_texts_never_fill_main(self):
+        cache = DocumentCache()
+        self._others(cache, 3000)
+        stats = cache.stats()
+        assert stats["size"] <= DOCUMENT_FRONT_SIZE + cache.maxsize
+        assert stats["size"] == DOCUMENT_FRONT_SIZE
+        assert stats["evictions"] == 0
+        assert stats["misses"] == 3000
+
+    def test_clear_forgets_the_ghost(self):
+        cache = DocumentCache()
+        cache.get("Pulse of 84.")
+        cache.clear()
+        assert cache.stats()["size"] == 0
+        cache.get("Pulse of 84.")
+        assert "Pulse of 84." not in cache._main
+        self._others(cache, 40)
+        cache.get("Pulse of 84.")
+        assert "Pulse of 84." in cache._main
 
 
 class TestLinkageCache:

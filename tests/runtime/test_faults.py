@@ -111,7 +111,14 @@ class TestFiring:
         from repro.extraction import RecordExtractor
 
         extractor = RecordExtractor()
-        extractor.caches.documents.get("seed text")
+        documents = extractor.caches.documents
+        documents.get("admitted text")
+        for i in range(40):  # push it out of the front ...
+            documents.get(f"filler {i}.")
+        documents.get("admitted text")  # ... so a second miss admits it
+        documents.get("front-only text")
+        assert list(documents._main) == ["admitted text"]
+        assert "front-only text" in documents._front
         parser = extractor.numeric.parser
         sentence = ("pulse of 84 .".split(), ["NN", "IN", "CD", "."])
         linkages = extractor.caches.linkages
@@ -119,9 +126,11 @@ class TestFiring:
         plan = FaultPlan.parse("corrupt@0")
         with pytest.raises(InjectedCacheCorruption):
             plan.fire(0, 0, extractor=extractor)
-        for holder in (extractor.caches.documents, linkages):
-            values = list(holder._lru._data.values())
-            assert values == [("__corrupted-cache-entry__",)]
+        poisoned = ("__corrupted-cache-entry__",)
+        for table in (documents._front, documents._main):
+            assert set(table.values()) == {poisoned}
+        assert len(documents._front) == 32
+        assert list(linkages._lru._data.values()) == [poisoned]
         # The poisoned front crashes its reader instead of answering,
         # and the garbage never reaches the parse store.
         with pytest.raises(ValueError):

@@ -10,6 +10,8 @@ hang, the router must stop picking the dead shard, and the drain
 must still exit cleanly.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.client import ServiceClient
@@ -19,6 +21,7 @@ from repro.extraction.terms import TermExtractor
 from repro.runtime import ExtractionCaches, FaultPlan, RetryPolicy
 from repro.runtime.service import ExtractionService, ServiceConfig
 from repro.runtime.sharding import partition_path, shard_for
+from repro.storage import ResultStore
 from repro.synth import CohortSpec, RecordGenerator
 
 FAST_POLICY = RetryPolicy(max_attempts=2, backoff_base_s=0.0)
@@ -64,6 +67,39 @@ class TestPartitionPath:
         assert partition_path(base, 0).name == "study.db.shard0"
         assert partition_path(str(base), 3).name == "study.db.shard3"
         assert partition_path(base, 0) != partition_path(base, 1)
+
+    def test_partitions_hold_only_the_payload_journal(
+        self, cohort, tmp_path
+    ):
+        """A partition journals the wire payloads the merge reads and
+        carries none of the result store's tables."""
+        db = tmp_path / "study.db"
+        socket_path = str(tmp_path / "svc.sock")
+        service = ExtractionService(
+            RecordExtractor(),
+            config=ServiceConfig(
+                socket_path=socket_path, shards=2, store_path=str(db)
+            ),
+            policy=FAST_POLICY,
+        )
+        service.start()
+        try:
+            with ServiceClient(socket_path=socket_path) as client:
+                results, _ = client.extract_many(cohort)
+        finally:
+            service.stop(timeout=30)
+        assert len(results) == len(cohort)
+        for shard_id in (0, 1):
+            connection = sqlite3.connect(partition_path(db, shard_id))
+            try:
+                names = connection.execute(
+                    "SELECT name FROM sqlite_master"
+                ).fetchall()
+            finally:
+                connection.close()
+            assert names == [("shard_payloads",)]
+        with ResultStore(db) as merged:
+            assert len(merged.patients()) == len(cohort)
 
 
 @pytest.fixture(scope="module")
